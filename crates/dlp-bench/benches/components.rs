@@ -3,9 +3,9 @@
 //! and DRAM ticking. These are the per-cycle inner loops that bound how
 //! many simulated cycles per second the full model achieves.
 //!
-//! The `next_event` / leap-catch-up group covers the cycle-leap event
-//! core's own overhead: the conservative event-horizon probes run on
-//! every step, so a regression there eats the cycles the leap saves.
+//! The `next_event` / leap-catch-up group covers per-SM sleep's own
+//! overhead: a busy SM probes its sleep bound after every cycle it
+//! runs, so a regression there eats the cycles the sleep saves.
 //!
 //! The fast-forward / estimator group covers interval sampling: the
 //! functional-advance inner loops set the ceiling on how cheap a
@@ -145,30 +145,7 @@ fn bench_next_event(c: &mut Criterion) {
         b.iter(|| black_box(d.next_activity()));
     });
 
-    // Partition event horizon: the idle fast path the leap scan hits on
-    // most partitions most steps, and the loaded path that must replay
-    // the L2 admission chain (`head_would_process`).
-    c.bench_function("partition_next_event_idle", |b| {
-        let mut p = MemoryPartition::new(PartitionConfig::fermi());
-        b.iter(|| black_box(p.next_event(black_box(1_000))));
-    });
-    c.bench_function("partition_next_event_loaded", |b| {
-        let mut p = MemoryPartition::new(PartitionConfig::fermi());
-        for i in 0..8u64 {
-            if p.can_accept() {
-                p.enqueue(Packet { kind: PacketKind::ReadReq, addr: i * 4096, req: req(i) });
-            }
-        }
-        let mut now = 0u64;
-        for _ in 0..4 {
-            now += 1;
-            p.cycle(now).unwrap();
-        }
-        b.iter(|| black_box(p.next_event(black_box(now))));
-    });
-
-    // Idle SM: no resident warps, nothing outgoing — the cheapest probe
-    // and the one the per-SM sleep gate replaces with an array read.
+    // Idle SM: no resident warps, nothing outgoing — the cheapest probe.
     c.bench_function("sm_next_event_idle", |b| {
         let cfg = SimConfig::tesla_m2090(PolicyKind::Baseline);
         let mut sm = Sm::new(0, &cfg);
@@ -177,7 +154,7 @@ fn bench_next_event(c: &mut Criterion) {
 }
 
 /// An L1D whose pipeline register holds a stalled access (MSHR entries
-/// exhausted by distinct-line misses) — the state the leap core must
+/// exhausted by distinct-line misses) — the state per-SM sleep must
 /// classify before it may skip retry cycles.
 fn stalled_l1d() -> L1dCache {
     let cfg = L1dConfig::fermi_baseline();
@@ -191,7 +168,7 @@ fn stalled_l1d() -> L1dCache {
 }
 
 fn bench_leap_catchup(c: &mut Criterion) {
-    // Classify + arithmetic catch-up: what the cycle-leap core executes
+    // Classify + arithmetic catch-up: what a sleeping SM executes
     // instead of ticking a stalled L1D through dead cycles.
     c.bench_function("l1d_classify_stalled_retry", |b| {
         let mut l1d = stalled_l1d();
@@ -259,20 +236,6 @@ fn bench_streaming(c: &mut Criterion) {
         b.iter(|| {
             let mut s: Box<dyn gpu_sim::OpStream> =
                 Box::new(VecStream::new(materialize(kernel.warp_stream(0, 0))));
-            let mut n = 0u64;
-            while s.next_op().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        });
-    });
-    // Reset-and-replay: the restart path of the sharded engine. A
-    // native stream must rewind without re-synthesizing its segment
-    // source from scratch each op.
-    c.bench_function("warp_stream_reset_replay", |b| {
-        let mut s = kernel.warp_stream(0, 0);
-        b.iter(|| {
-            s.reset();
             let mut n = 0u64;
             while s.next_op().is_some() {
                 n += 1;

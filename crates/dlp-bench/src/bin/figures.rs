@@ -317,10 +317,14 @@ fn scale_suite(factor: u32) {
 
 /// Replay an externally recorded trace file (text or binary format,
 /// see `gpu_workloads::trace`) under the baseline and DLP schemes. A
-/// malformed or unreadable trace exits 2 before any simulation starts.
+/// malformed or unreadable trace, or one whose CTAs do not fit an SM,
+/// exits 2 before any simulation starts.
 fn trace_report(path: &str) {
     use gpu_sim::{Gpu, SimConfig};
-    let kernel = match gpu_workloads::TraceKernel::open(std::path::Path::new(path)) {
+    let slots = SimConfig::tesla_m2090(PolicyKind::Baseline).usable_warp_slots();
+    let opened = gpu_workloads::TraceKernel::open(std::path::Path::new(path))
+        .and_then(|k| k.check_fits(slots).map(|()| k));
+    let kernel = match opened {
         Ok(k) => k,
         Err(e) => {
             eprintln!("figures trace: {path}: {e}");

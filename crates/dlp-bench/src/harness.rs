@@ -16,7 +16,7 @@
 
 use crate::estimate::{summarize, SamplingSummary};
 use crate::persist;
-use crate::telemetry::{self, JobRecord, ShardRecord};
+use crate::telemetry::{self, JobRecord};
 use dlp_core::{CacheGeometry, PolicyKind, ProtectionConfig};
 use gpu_sim::{Gpu, RunStats, SamplingConfig, SamplingParseError, SimConfig};
 use gpu_workloads::{build, registry, BenchSpec, Scale};
@@ -91,10 +91,9 @@ pub struct AppRun {
     pub spec: BenchSpec,
     /// Simulation statistics.
     pub stats: RunStats,
-    /// Cycles the simulator stepped one at a time; the rest of
-    /// `stats.cycles` was leapt by the cycle-leap event core. Kept out
-    /// of `RunStats` so the statistics stay byte-identical between the
-    /// leap and reference paths (only this number legitimately differs).
+    /// Cycles the detailed loop stepped ([`Gpu::ticked_cycles`]):
+    /// `stats.cycles` on exact runs, fewer on sampled runs. Kept out of
+    /// `RunStats`, which holds simulated results only.
     pub ticked_cycles: u64,
     /// RD profile, if requested.
     pub rdd: Option<SharedRdd>,
@@ -210,14 +209,11 @@ pub const JOB_DEADLINE_ENV: &str = "DLP_JOB_DEADLINE_MS";
 
 /// The `DLP_JOB_DEADLINE_MS` value, read from the environment on
 /// *every* call — deliberately not memoized. The deadline is per-job
-/// policy, not process identity: the sweep daemon serves many requests
-/// from one process, each carrying its own deadline in the request
-/// frame, and a `OnceLock` here silently pinned every later job to
-/// whatever the first request established (the bug this replaced).
+/// policy, not process identity: a caller may change it between jobs
+/// in one process, and a `OnceLock` here silently pinned every later
+/// job to whatever the first job established (the bug this replaced).
 /// The env read is nowhere near hot — a job simulates for milliseconds
-/// to minutes. Contrast [`shards_override`], which *is* safe to cache:
-/// the shard count never changes a statistic, so a stale value cannot
-/// corrupt a result, only its wall-clock time.
+/// to minutes.
 fn env_deadline() -> Option<Duration> {
     std::env::var(JOB_DEADLINE_ENV)
         .ok()
@@ -226,22 +222,11 @@ fn env_deadline() -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
-/// Environment variable selecting the sharded lock-step engine's shard
-/// count for every simulation job (unset or 1 = the classic sequential
-/// engine). Statistics are byte-identical at any value — pinned by the
-/// shard-equivalence suite — so this only trades wall-clock time.
+/// The name of a retired environment variable that once selected a
+/// multi-threaded simulation engine. Nothing reads it any more; the
+/// constant stays because the `perfbench` benchmark package (which
+/// must not change) still sets it on its child processes.
 pub const SHARDS_ENV: &str = "DLP_SHARDS";
-
-/// The `DLP_SHARDS` override, read once per process. Caching is safe
-/// here (unlike the per-job deadline above) because the shard count is
-/// statistics-invariant: the worst a stale value can do is run at the
-/// wrong speed.
-fn shards_override() -> Option<usize> {
-    static SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var(SHARDS_ENV).ok().and_then(|v| v.parse().ok()).filter(|&s| s >= 1)
-    })
-}
 
 /// Environment variable enabling SMARTS-style interval sampling for
 /// every simulation job: `detail:skip[:warmup[:seed]]` in cycles
@@ -263,11 +248,10 @@ pub fn sampling_env() -> Result<Option<SamplingConfig>, SamplingParseError> {
 }
 
 /// The `DLP_SAMPLING` override, read once per process. Memoization is
-/// safe for the same reason as [`shards_override`]'s: the parsed
-/// config is part of every [`ExperimentConfig`] cache key, so a stale
-/// value can never alias a sampled result to an exact one. Malformed
-/// values degrade to `None` here; [`sampling_env`] is the validating
-/// entry point.
+/// safe because the parsed config is part of every [`ExperimentConfig`]
+/// cache key, so a stale value can never alias a sampled result to an
+/// exact one. Malformed values degrade to `None` here; [`sampling_env`]
+/// is the validating entry point.
 fn sampling_override() -> Option<SamplingConfig> {
     static SAMPLING: OnceLock<Option<SamplingConfig>> = OnceLock::new();
     *SAMPLING.get_or_init(|| sampling_env().ok().flatten())
@@ -337,28 +321,15 @@ pub fn run_cache_len() -> usize {
 /// Simulate one application under one configuration.
 ///
 /// Results are memoized per process and — when `DLP_STORE_DIR` is set
-/// or [`persist::init_store`] was called — persisted through the
-/// crash-safe `dlp-store` layer, so a killed sweep resumes serving
-/// every job it had completed from disk.
+/// — persisted through the crash-safe `dlp-store` layer, so a killed
+/// sweep resumes serving every job it had completed from disk. A
+/// `DLP_JOB_DEADLINE_MS` budget bounds the job's wall-clock time.
 pub fn run_app(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    run_app_with_deadline(abbr, cfg, env_deadline())
-}
-
-/// [`run_app`] with the job deadline as an explicit argument instead
-/// of the `DLP_JOB_DEADLINE_MS` fallback — the entry point for callers
-/// that carry a deadline per request (the sweep daemon decodes one out
-/// of every job frame). `None` = unlimited, the exact code path the
-/// determinism suite pins.
-pub fn run_app_with_deadline(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
     if force_fail_target() == Some(abbr) {
         panic!("{abbr}: forced failure ({FORCE_FAIL_ENV} is set)");
     }
     let start = Instant::now();
-    let record = |cached: bool, store_hit: bool, run: Option<&AppRun>, shard: ShardRecord| {
+    let record = |cached: bool, store_hit: bool, run: Option<&AppRun>| {
         telemetry::record_job(JobRecord {
             app: abbr.to_string(),
             policy: cfg.policy.label().to_string(),
@@ -379,30 +350,27 @@ pub fn run_app_with_deadline(
             insn_id_wraps: run.map_or(0, |r| r.stats.insn_id_wraps),
             pdpt_evict_pressure: run.map_or(0, |r| r.stats.pdpt_evict_pressure),
             peak_warp_trace_bytes: run.map_or(0, |r| r.stats.peak_warp_trace_bytes),
-            shard,
         });
     };
     let key = (abbr.to_string(), cfg);
     if let Some(hit) = run_cache().lock().get(&key).cloned() {
-        // Cache and store hits never instantiated an engine in this
-        // call, so their shard telemetry is honestly all-zero.
-        record(true, false, Some(&hit), ShardRecord::default());
+        record(true, false, Some(&hit));
         return Ok(hit);
     }
     if let Some(run) = persist::load(abbr, &cfg) {
-        record(true, true, Some(&run), ShardRecord::default());
+        record(true, true, Some(&run));
         run_cache().lock().insert(key, run.clone());
         return Ok(run);
     }
-    match run_app_uncached(abbr, cfg, deadline, None) {
-        Ok((run, shard)) => {
-            record(false, false, Some(&run), shard);
+    match run_app_uncached(abbr, cfg, env_deadline(), None) {
+        Ok(run) => {
+            record(false, false, Some(&run));
             run_cache().lock().insert(key, run.clone());
             persist::save(abbr, &cfg, &run);
             Ok(run)
         }
         Err(f) => {
-            record(false, false, None, ShardRecord::default());
+            record(false, false, None);
             Err(f)
         }
     }
@@ -421,17 +389,16 @@ pub fn run_app_uncached_for_tests(
     deadline: Option<Duration>,
     chunk_override: Option<u64>,
 ) -> Result<AppRun, RunFailure> {
-    run_app_uncached(abbr, cfg, deadline, chunk_override).map(|(run, _)| run)
+    run_app_uncached(abbr, cfg, deadline, chunk_override)
 }
 
-/// The actual simulation behind [`run_app`]'s memo layer. Returns the
-/// run plus the sharded engine's telemetry for the job record.
+/// The actual simulation behind [`run_app`]'s memo layer.
 fn run_app_uncached(
     abbr: &str,
     cfg: ExperimentConfig,
     deadline: Option<Duration>,
     chunk_override: Option<u64>,
-) -> Result<(AppRun, ShardRecord), RunFailure> {
+) -> Result<AppRun, RunFailure> {
     let fail = |error: String, class: FailureClass| RunFailure {
         app: abbr.to_string(),
         policy: cfg.policy,
@@ -444,17 +411,11 @@ fn run_app_uncached(
     };
     let spec = gpu_workloads::registry::spec(abbr);
     let kernel = build(abbr, cfg.scale);
-    // Profiled jobs force a single shard explicitly: an attached L1D
-    // observer disables both the leap and shard engines anyway (the
-    // observer sees every access in sequential order), so asking for
-    // more would only mislead the telemetry.
-    let shards = if cfg.profile_rd { 1 } else { shards_override().unwrap_or(1) };
-    // Profiled jobs also force exact simulation: the fast-forward path
+    // Profiled jobs force exact simulation: the fast-forward path
     // executes accesses functionally, which would punch unprofiled
     // holes into the reuse-distance histograms.
     let sampling = if cfg.profile_rd { None } else { cfg.sampling };
-    let mut sim_cfg =
-        SimConfig::tesla_m2090(cfg.policy).with_l1_geometry(cfg.geom).with_shards(shards);
+    let mut sim_cfg = SimConfig::tesla_m2090(cfg.policy).with_l1_geometry(cfg.geom);
     sim_cfg.protection_override = cfg.protection;
     sim_cfg.warp_limit = cfg.warp_limit;
     sim_cfg.sampling = sampling;
@@ -513,27 +474,14 @@ fn run_app_uncached(
     if !stats.completed {
         return Err(fail("run stopped before kernel completion".to_string(), FailureClass::Fatal));
     }
-    let tel = gpu.shard_telemetry();
-    let shard = ShardRecord {
-        shards: shards as u64,
-        epoch_cycles: tel.epoch_cycles,
-        rounds: tel.rounds,
-        barrier_stalls: tel.barrier_stalls,
-        restarts: tel.restarts,
-        per_shard_ticked: tel.per_shard_ticked.clone(),
-    };
     let sampling = gpu.sampling_report().map(summarize);
-    Ok((AppRun { spec, stats, ticked_cycles, rdd, sampling }, shard))
+    Ok(AppRun { spec, stats, ticked_cycles, rdd, sampling })
 }
 
 /// `run_app` behind `catch_unwind`, so a panicking job becomes a
 /// `RunFailure` instead of poisoning the whole sweep.
-fn run_app_caught(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run_app_with_deadline(abbr, cfg, deadline))) {
+fn run_app_caught(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
+    match catch_unwind(AssertUnwindSafe(|| run_app(abbr, cfg))) {
         Ok(res) => res,
         Err(payload) => {
             let msg = payload
@@ -579,23 +527,11 @@ fn backoff(attempt: u32) -> Duration {
 /// count, so the sweep's failure digest shows the decision.
 ///
 /// This is the hardened single-job entry point (panic-catching,
-/// retrying); `run_many` applies it per job, and the sweep daemon uses
-/// it directly so a panicking job becomes a typed wire error.
+/// retrying); `run_many` applies it per job.
 pub fn run_app_with_retry(abbr: &str, cfg: ExperimentConfig) -> Result<AppRun, RunFailure> {
-    run_app_with_retry_deadline(abbr, cfg, env_deadline())
-}
-
-/// [`run_app_with_retry`] with the deadline as an explicit argument
-/// (see [`run_app_with_deadline`]); the sweep daemon passes each
-/// request frame's own deadline here.
-pub fn run_app_with_retry_deadline(
-    abbr: &str,
-    cfg: ExperimentConfig,
-    deadline: Option<Duration>,
-) -> Result<AppRun, RunFailure> {
     let mut attempt = 1;
     loop {
-        match run_app_caught(abbr, cfg, deadline) {
+        match run_app_caught(abbr, cfg) {
             Ok(run) => return Ok(run),
             Err(mut f) => {
                 f.attempts = attempt;

@@ -23,12 +23,7 @@ impl LruBaseline {
 
     /// The replacement decision [`ReplacementPolicy::decide_replacement`]
     /// will make for this set, computed without touching any state.
-    ///
-    /// Public because LRU victim selection is side-effect-free: the L2
-    /// partition's cycle-leap event mirror peeks the decision (including
-    /// the victim way, to replay the DRAM-admission check) to predict
-    /// whether the queued head access would progress.
-    pub fn peek_victim(&self, set: usize, ways: &[WayView]) -> MissDecision {
+    fn peek_victim(&self, set: usize, ways: &[WayView]) -> MissDecision {
         // Prefer an invalid (and unreserved) way, then LRU among valid
         // unreserved ways.
         if let Some(way) = ways.iter().position(|w| !w.valid && !w.reserved) {

@@ -5,10 +5,8 @@
 //! *linear* index. Both index functions are implemented here so the same
 //! geometry type serves every cache level in the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Set-index function applied to the line address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexFunction {
     /// `set = line_addr % num_sets` — used by the L2 slices (Table 1).
     Linear,
@@ -21,7 +19,7 @@ pub enum IndexFunction {
 
 /// Static shape of one cache: line size, number of sets, associativity,
 /// and the set-index function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Bytes per cache line. The paper's GPU uses 128-byte lines at both
     /// levels.

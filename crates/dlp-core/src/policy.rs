@@ -23,7 +23,7 @@ use crate::insn::InsnId;
 use crate::stats::PolicyStats;
 
 /// Which of the four schemes of the paper to instantiate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Plain LRU (the 16 KB baseline configuration).
     Baseline,
@@ -155,8 +155,8 @@ pub trait ReplacementPolicy: Send {
 
     /// Would [`ReplacementPolicy::decide_replacement`] return
     /// [`MissDecision::Stall`] for this set **without mutating any
-    /// state**? Used by the cycle-leap event core to classify a parked
-    /// access's stall reason read-only. The default `false` is correct
+    /// state**? Used by per-SM sleep to classify a parked access's
+    /// stall reason read-only. The default `false` is correct
     /// for every scheme that never stalls (Stall-Bypass converts stalls
     /// to bypasses; the protection schemes treat a fully reserved set
     /// like a fully protected one and bypass, §4.1.1); only plain LRU

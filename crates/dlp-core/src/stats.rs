@@ -1,12 +1,10 @@
 //! Scheme-internal statistics exposed for the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters a [`crate::ReplacementPolicy`] accumulates about its own
 /// decisions. Cache-level counters (hits, misses, traffic, evictions)
 /// live with the cache controller in `gpu-mem`; these are the knobs that
 /// are only visible inside the scheme.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PolicyStats {
     /// Set queries observed (each new access to the cache).
     pub queries: u64,

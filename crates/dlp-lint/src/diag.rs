@@ -1,8 +1,8 @@
 //! Diagnostics: finding type, text/JSON rendering, and the baseline.
 //!
 //! JSON is rendered *and parsed* by hand, mirroring the
-//! `dlp-bench/src/telemetry.rs` approach — the workspace's vendored
-//! serde stub has no JSON backend, and the two schemas involved
+//! `dlp-bench/src/telemetry.rs` approach — the workspace has no JSON
+//! dependency, and the two schemas involved
 //! (`dlp-lint/diagnostics/v1`, `dlp-lint/baseline/v1`) are small and
 //! flat enough that a ~100-line recursive-descent parser is the
 //! simplest dependency-free option.

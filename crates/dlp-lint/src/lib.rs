@@ -17,13 +17,11 @@
 //!   code (steers to the typed `MemError`/`SimError` paths from the
 //!   PR 1 integrity layer).
 //! * **R rules** — no raw filesystem mutation in the store tier
-//!   (`dlp-store`/`dlp-sweepd`); every write goes through the atomic
+//!   (`dlp-store`); every write goes through the atomic
 //!   temp+fsync+rename helpers so a crash never tears an entry.
-//! * **S rules** — shard-safety: concurrency primitives live only in
-//!   the sharded epoch engine (`gpu-sim/src/shard.rs`),
-//!   `Ordering::Relaxed` is banned, and nothing reachable inside the
-//!   shard-parallel region touches the shared interconnect.
-//! * **L rules** — leap-contract: every `next_event` implementor
+//! * **S rules** — concurrency: the sim tier holds no concurrency
+//!   primitives at all; the simulator is single-threaded.
+//! * **L rules** — sleep-contract: every `next_event` implementor
 //!   defines a catch-up method, and probe-reachable code never
 //!   mutates stats counters without an explicit cycle delta.
 //! * **T rules** — the telemetry JSON keys emitted by

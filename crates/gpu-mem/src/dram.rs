@@ -300,13 +300,13 @@ impl Dram {
 
     /// Fast-forward a **quiet** channel by `ticks` command-clock cycles.
     ///
-    /// Generalizes the idle-skip of PR 2: whenever every skipped tick
+    /// The partition's idle-skip catch-up: whenever every skipped tick
     /// falls strictly before [`Dram::next_activity`], each [`Dram::tick`]
     /// reduces to `now += 1` (no bank can start, no completion ripens),
     /// so the stretch can be accounted arithmetically. Bank and bus
     /// `busy_until` marks as well as open rows are left untouched —
     /// exactly what repeated quiet ticks would have done — which keeps
-    /// leapt runs byte-identical to fully ticked ones.
+    /// idle-skipped runs byte-identical to fully ticked ones.
     pub fn advance_quiet(&mut self, ticks: u64) {
         debug_assert!(
             self.next_activity().is_none_or(|a| a > self.now + ticks),

@@ -46,9 +46,8 @@ impl IcntConfig {
 }
 
 /// The address → partition mapping as a free function, for callers
-/// that route packets without holding the crossbar (the sharded epoch
-/// engine defers sends to per-shard logs and must agree on the
-/// destination before the merge).
+/// that route addresses without a crossbar at hand (functional L2
+/// replays).
 pub fn partition_for(addr: u64, num_partitions: usize) -> usize {
     ((addr / 256) % num_partitions as u64) as usize
 }
@@ -119,9 +118,8 @@ impl Interconnect {
         pkt: Packet,
         now: u64,
         extra: u64,
-        slack: usize,
     ) -> Option<u64> {
-        if port.queue.len() + slack >= cfg.queue_capacity {
+        if port.queue.len() >= cfg.queue_capacity {
             return None;
         }
         let start = port.busy_until.max(now);
@@ -134,17 +132,7 @@ impl Interconnect {
     /// Accept an already-admitted packet, applying any injected fault.
     /// Returns the flits serialized (0 when the packet was dropped or a
     /// misrouted copy found its new port full — both are faults).
-    /// `slack(port)` is extra occupancy charged against a queue's
-    /// capacity (zero on the direct path; see
-    /// [`Interconnect::merge_send_fwd`]).
-    fn send_faulted(
-        &mut self,
-        forward: bool,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> u64 {
+    fn send_faulted(&mut self, forward: bool, dst: usize, pkt: Packet, now: u64) -> u64 {
         let site = if forward { FaultSite::IcntForward } else { FaultSite::IcntReturn };
         let (mut dst, mut extra, mut copies) = (dst, 0, 1);
         match self.fault.as_mut().and_then(|f| f.should_inject(site)) {
@@ -165,9 +153,8 @@ impl Interconnect {
         }
         let mut flits = 0;
         for _ in 0..copies {
-            let headroom = slack(dst);
             let port = if forward { &mut self.fwd[dst] } else { &mut self.ret[dst] };
-            if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra, headroom) {
+            if let Some(f) = Self::try_send(port, &self.cfg, pkt, now, extra) {
                 flits += f;
                 self.in_flight_count += 1;
             }
@@ -182,7 +169,7 @@ impl Interconnect {
             self.stats.rejects += 1;
             return false;
         }
-        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now, &mut |_| 0).max(pkt.flits());
+        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now).max(pkt.flits());
         true
     }
 
@@ -192,22 +179,14 @@ impl Interconnect {
             self.stats.rejects += 1;
             return false;
         }
-        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now, &mut |_| 0).max(pkt.flits());
+        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now).max(pkt.flits());
         true
     }
 
-    // ---- Sharded-execution support --------------------------------
+    // ---- Window-edge drain support --------------------------------
     //
-    // The sharded epoch engine (gpu-sim's shard module) runs disjoint
-    // component sets in parallel for a crossbar-latency-bounded epoch
-    // and keeps this struct authoritative only at epoch barriers. The
-    // entry points below exist for that engine alone: extraction hands
-    // a port's ripe FIFO prefix to the owning shard at round start,
-    // restore returns the unconsumed tail at the barrier, and the
-    // merge sends replay the epoch's deferred traffic in canonical
-    // order with capacity evaluated against the *sequential* queue
-    // occupancy (extracted-but-not-yet-popped packets re-counted via
-    // the `slack` closure).
+    // Sampling mode resolves every in-flight packet at a measurement
+    // window's edge; extraction hands over a port's ripe FIFO prefix.
 
     fn extract_ready(port: &mut Port, horizon: u64) -> VecDeque<(u64, Packet)> {
         let mut out = VecDeque::new();
@@ -222,14 +201,6 @@ impl Interconnect {
             }
         }
         out
-    }
-
-    fn restore_front(port: &mut Port, mut leftover: VecDeque<(u64, Packet)>) -> usize {
-        let n = leftover.len();
-        while let Some(item) = leftover.pop_back() {
-            port.queue.push_front(item);
-        }
-        n
     }
 
     /// Detach the FIFO prefix of partition `dst`'s forward queue whose
@@ -248,60 +219,6 @@ impl Interconnect {
         let out = Self::extract_ready(&mut self.ret[dst], horizon);
         self.in_flight_count -= out.len();
         out
-    }
-
-    /// Return the unconsumed tail of an extracted forward prefix to the
-    /// head of its queue, preserving FIFO order (the leftovers are older
-    /// than everything still enqueued).
-    pub fn restore_front_fwd(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count += Self::restore_front(&mut self.fwd[dst], leftover);
-    }
-
-    /// Return the unconsumed tail of an extracted return prefix (see
-    /// [`Interconnect::restore_front_fwd`]).
-    pub fn restore_front_ret(&mut self, dst: usize, leftover: VecDeque<(u64, Packet)>) {
-        self.in_flight_count += Self::restore_front(&mut self.ret[dst], leftover);
-    }
-
-    /// Replay an epoch-deferred forward send at the barrier merge.
-    ///
-    /// Identical to [`Interconnect::try_send_fwd`] except every
-    /// capacity check — on the intended port and on any port a fault
-    /// redirects a copy to — charges `slack(port)` phantom entries:
-    /// packets the shards already popped this round that the
-    /// sequential machine would still hold at the send's cycle.
-    /// `false` means the sequential machine would have refused the
-    /// packet (a shard misspeculation); nothing is enqueued and no
-    /// reject is counted, because the caller restarts the whole run on
-    /// the sequential path, which re-counts it.
-    pub fn merge_send_fwd(
-        &mut self,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> bool {
-        if self.fwd[dst].queue.len() + slack(dst) >= self.cfg.queue_capacity {
-            return false;
-        }
-        self.stats.fwd_flits += self.send_faulted(true, dst, pkt, now, slack).max(pkt.flits());
-        true
-    }
-
-    /// Replay an epoch-deferred return send at the barrier merge (see
-    /// [`Interconnect::merge_send_fwd`]).
-    pub fn merge_send_ret(
-        &mut self,
-        dst: usize,
-        pkt: Packet,
-        now: u64,
-        slack: &mut dyn FnMut(usize) -> usize,
-    ) -> bool {
-        if self.ret[dst].queue.len() + slack(dst) >= self.cfg.queue_capacity {
-            return false;
-        }
-        self.stats.ret_flits += self.send_faulted(false, dst, pkt, now, slack).max(pkt.flits());
-        true
     }
 
     fn pop(port: &mut Port, now: u64) -> Option<Packet> {
@@ -338,22 +255,6 @@ impl Interconnect {
             "incremental in-flight census out of sync"
         );
         self.in_flight_count
-    }
-
-    /// Ready cycle of the oldest undelivered forward packet for
-    /// partition `dst`, if any. Ejection is FIFO ([`Interconnect::pop_fwd`]
-    /// only ever examines the queue head), so the head's ready cycle is
-    /// exactly the earliest cycle at which this port can deliver — even
-    /// when an injected delay gives the head a later ready cycle than
-    /// its followers. Used by the cycle-leap event core.
-    pub fn next_fwd_ready(&self, dst: usize) -> Option<u64> {
-        self.fwd[dst].queue.front().map(|&(ready, _)| ready)
-    }
-
-    /// Ready cycle of the oldest undelivered return packet for SM
-    /// `dst`, if any (see [`Interconnect::next_fwd_ready`]).
-    pub fn next_ret_ready(&self, dst: usize) -> Option<u64> {
-        self.ret[dst].queue.front().map(|&(ready, _)| ready)
     }
 
     /// Per-partition forward-queue depths (hang diagnostics).
@@ -561,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn extract_restore_roundtrip_preserves_fifo_and_census() {
+    fn extraction_takes_the_ripe_prefix_and_updates_the_census() {
         let mut icnt = small();
         // Two packets: ready at 5 (1 flit + 4 hop) and 10 (5+4 after
         // serializing behind the first).
@@ -571,14 +472,12 @@ mod tests {
 
         // Horizon 5 captures only the head.
         let ripe = icnt.extract_ready_fwd(0, 5);
-        assert_eq!(ripe.len(), 1);
+        assert_eq!(ripe.iter().map(|(_, p)| p.addr).collect::<Vec<_>>(), vec![0]);
         assert_eq!(icnt.in_flight(), 1);
 
-        // Restoring it puts it back at the head, older than the tail.
-        icnt.restore_front_fwd(0, ripe);
-        assert_eq!(icnt.in_flight(), 2);
-        assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(0));
+        // The tail stays queued and pops normally.
         assert_eq!(icnt.pop_fwd(0, 100).map(|p| p.addr), Some(128));
+        assert_eq!(icnt.in_flight(), 0);
     }
 
     #[test]
@@ -595,22 +494,6 @@ mod tests {
         // its follower is — exactly mirroring pop_fwd's gating.
         assert!(icnt.extract_ready_fwd(0, 50).is_empty());
         assert_eq!(icnt.extract_ready_fwd(0, 200).len(), 2);
-    }
-
-    #[test]
-    fn merge_send_slack_reproduces_sequential_capacity() {
-        let mut icnt = small(); // capacity 2
-        assert!(icnt.try_send_fwd(0, pkt(PacketKind::ReadReq, 0), 0));
-        // Physically one entry, but the shards popped one this round
-        // that the sequential machine still held: slack 1 makes the
-        // queue full, so the merge refuses without counting a reject.
-        assert!(!icnt.merge_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0, &mut |_| 1));
-        assert_eq!(icnt.stats().rejects, 0);
-        assert_eq!(icnt.in_flight(), 1);
-        // With no slack the same send is admitted and counted.
-        assert!(icnt.merge_send_fwd(0, pkt(PacketKind::ReadReq, 256), 0, &mut |_| 0));
-        assert_eq!(icnt.stats().fwd_flits, 2);
-        assert_eq!(icnt.in_flight(), 2);
     }
 
     #[test]

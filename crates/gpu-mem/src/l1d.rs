@@ -69,9 +69,9 @@ enum Outcome {
 
 /// Why a parked access would stall again this cycle, as classified by
 /// [`L1dCache::classify_stalled_retry`]. Each variant names the stall
-/// counter a tick-by-tick retry would have bumped, letting the
-/// cycle-leap event core replay a skipped window of retries
-/// arithmetically (`counter += skipped`) with byte-identical statistics.
+/// counter a tick-by-tick retry would have bumped, letting a sleeping
+/// SM replay the retries it skipped arithmetically
+/// (`counter += skipped`) with byte-identical statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StallClass {
     /// The line is in flight and its merge list is full
@@ -313,11 +313,6 @@ impl L1dCache {
         self.outgoing.len()
     }
 
-    /// Responses ripening or ready for the core (diagnostics).
-    pub fn pending_responses(&self) -> usize {
-        self.pending.len() + self.responses.len()
-    }
-
     /// Structural self-check for the runtime invariant auditor: MSHR
     /// integrity, miss-queue bound, and the replacement scheme's own
     /// invariants (for DLP: protected-life counters within the PD cap).
@@ -344,7 +339,7 @@ impl L1dCache {
     }
 
     /// Ready cycle of the earliest ripening response, if any. One input
-    /// to the owning SM's cycle-leap `next_event` bound.
+    /// to the owning SM's `next_event` sleep bound.
     pub fn next_pending_ready(&self) -> Option<u64> {
         self.pending.peek().map(|Reverse(head)| head.ready)
     }
@@ -357,13 +352,13 @@ impl L1dCache {
     /// Classify why the access parked in the pipeline register would
     /// stall *again* this cycle, without mutating anything — a read-only
     /// mirror of the [`Self::process`] retry path. `None` means the
-    /// retry would make progress (so the next cycle is an event and must
-    /// not be leapt over).
+    /// retry would make progress (so the next cycle is an event and the
+    /// SM must not sleep through it).
     ///
     /// The mirror is **exact** whenever the miss queue is empty — which
-    /// is always the case when the cycle-leap event core consults it,
-    /// since a non-empty miss queue already forces the SM's `next_event`
-    /// to `now + 1`. With packets in the queue the `Absent` arm answers
+    /// is always the case when per-SM sleep consults it, since a
+    /// non-empty miss queue already forces the SM's `next_event` to
+    /// `now + 1`. With packets in the queue the `Absent` arm answers
     /// conservatively (`MissQueue`) rather than replaying the policy's
     /// (potentially mutating) `decide_replacement`.
     pub fn classify_stalled_retry(&mut self) -> Option<StallClass> {
@@ -409,8 +404,8 @@ impl L1dCache {
         }
     }
 
-    /// Replay `skipped` provably-no-op cycles arithmetically after a
-    /// leap. The only L1D state a dead-time tick mutates is the aging
+    /// Replay `skipped` provably-no-op cycles the owning SM slept
+    /// through. The only L1D state a dead-time tick mutates is the aging
     /// counters: each skipped cycle would have burned one retry of the
     /// parked access (`stall_cycles` plus exactly one stall-class
     /// counter) and — when the LD/ST queue had a transaction waiting
@@ -418,7 +413,7 @@ impl L1dCache {
     pub fn leap_catchup(&mut self, skipped: u64, submits_pending: bool) {
         debug_assert!(
             self.outgoing.is_empty(),
-            "leapt while packets waited for the interconnect"
+            "slept while packets waited for the interconnect"
         );
         if self.pipeline_reg.is_none() {
             return;
@@ -429,7 +424,7 @@ impl L1dCache {
             Some(StallClass::MshrFull) => self.stats.stall_mshr_full += skipped,
             Some(StallClass::AllReserved) => self.stats.stall_all_reserved += skipped,
             Some(StallClass::MissQueue) => self.stats.stall_miss_queue += skipped,
-            None => debug_assert!(false, "leapt across a retry that would have progressed"),
+            None => debug_assert!(false, "slept across a retry that would have progressed"),
         }
         if submits_pending {
             self.stats.rejected_submits += skipped;
@@ -1092,7 +1087,8 @@ mod tests {
     #[test]
     fn leap_catchup_matches_ticking_through_the_stall() {
         // Two identical caches with a parked all-reserved access: tick
-        // one through N dead cycles, leap the other, compare counters.
+        // one through N dead cycles, catch the other up arithmetically,
+        // compare counters.
         let mk = || {
             let mut c = cache(PolicyKind::Baseline);
             let addrs = same_set_addrs(5);
@@ -1106,24 +1102,24 @@ mod tests {
             assert!(c.input_blocked());
             c
         };
-        let (mut ticked, mut leaped) = (mk(), mk());
+        let (mut ticked, mut slept) = (mk(), mk());
         for cyc in 11..11 + 37 {
             ticked.cycle(cyc).unwrap();
         }
-        leaped.leap_catchup(37, false);
-        assert_eq!(leaped.stats().stall_cycles, ticked.stats().stall_cycles);
-        assert_eq!(leaped.stats().stall_all_reserved, ticked.stats().stall_all_reserved);
-        assert_eq!(leaped.stats().rejected_submits, ticked.stats().rejected_submits);
+        slept.leap_catchup(37, false);
+        assert_eq!(slept.stats().stall_cycles, ticked.stats().stall_cycles);
+        assert_eq!(slept.stats().stall_all_reserved, ticked.stats().stall_all_reserved);
+        assert_eq!(slept.stats().rejected_submits, ticked.stats().rejected_submits);
         // With a transaction waiting behind the parked one, every dead
         // cycle also burns a rejected submit.
-        let (mut ticked, mut leaped) = (mk(), mk());
+        let (mut ticked, mut slept) = (mk(), mk());
         for cyc in 11..11 + 21 {
             assert!(!ticked.submit(load(200, 0x4_0000, 4), cyc).unwrap());
             ticked.cycle(cyc).unwrap();
         }
-        leaped.leap_catchup(21, true);
-        assert_eq!(leaped.stats().rejected_submits, ticked.stats().rejected_submits);
-        assert_eq!(leaped.stats().stall_cycles, ticked.stats().stall_cycles);
+        slept.leap_catchup(21, true);
+        assert_eq!(slept.stats().rejected_submits, ticked.stats().rejected_submits);
+        assert_eq!(slept.stats().stall_cycles, ticked.stats().stall_cycles);
     }
 
     #[test]

@@ -144,16 +144,6 @@ impl MemoryPartition {
         self.out_queue.push_front(pkt);
     }
 
-    /// The core cycle this partition last caught its clocks up to (0 if
-    /// never cycled). [`Self::next_event`] computes its DRAM-domain
-    /// term relative to the *internal* clock state, so callers probing
-    /// a partition they have not just cycled — the sharded engine's
-    /// barrier planner — must pass this as `now` to get correct
-    /// absolute event times.
-    pub fn last_cycled(&self) -> u64 {
-        self.last_now.unwrap_or(0)
-    }
-
     /// All queues drained and DRAM idle?
     pub fn idle(&self) -> bool {
         self.in_queue.is_empty()
@@ -267,10 +257,10 @@ impl MemoryPartition {
     }
 
     /// Catch up on cycles the caller skipped while this partition was
-    /// idle — the leap-contract counterpart to [`Self::next_event`]. An
-    /// idle DRAM tick is a pure `now += 1`, so the skipped interval
-    /// collapses to one division on the fractional clock accumulator —
-    /// exactly what ticking every cycle would do.
+    /// idle (the clock loop's idle-skip). An idle DRAM tick is a pure
+    /// `now += 1`, so the skipped interval collapses to one division on
+    /// the fractional clock accumulator — exactly what ticking every
+    /// cycle would do.
     ///
     /// A partition that has never been cycled has been idle since
     /// cycle 0 — it must catch up from there, or its fractional DRAM
@@ -281,13 +271,11 @@ impl MemoryPartition {
         self.last_now = Some(now);
         if skipped > 0 {
             // Input packets may have just arrived (that is what woke us
-            // up), and with the cycle-leap event core the partition may
-            // even be *busy* — outstanding MSHR fetches, unripe replies,
-            // in-flight DRAM commands. The gap is only sound if nothing
-            // would have *happened* in it: no reply ripened (the heap
-            // head is still in the future) and no reply waited at the
-            // output port. DRAM quietness over the granted ticks is
-            // asserted by [`Dram::advance_quiet`] itself.
+            // up). The gap is only sound if nothing would have
+            // *happened* in it: no reply ripened (the heap head is still
+            // in the future) and no reply waited at the output port.
+            // DRAM quietness over the granted ticks is asserted by
+            // [`Dram::advance_quiet`] itself.
             debug_assert!(
                 self.out_queue.is_empty(),
                 "cycles were skipped while replies waited at the output port"
@@ -354,113 +342,6 @@ impl MemoryPartition {
             }
         }
         Ok(())
-    }
-
-    /// Earliest future interconnect cycle (strictly after `now`, the
-    /// cycle whose [`Self::cycle`] call just ran) at which this
-    /// partition could do observable work, or `None` when it is fully
-    /// idle. The cycle-leap event core skips straight to the minimum of
-    /// these bounds across all components.
-    ///
-    /// The bound is *conservative*: every cycle in `now+1..bound` is a
-    /// provable no-op. Three sources of activity exist:
-    ///
-    /// - a reply waiting at the output port or an input head that would
-    ///   make progress → the very next cycle is an event;
-    /// - a pending reply ripening → its heap-head `ready` cycle;
-    /// - DRAM — [`Dram::next_activity`] is in *command-clock* cycles, so
-    ///   it is translated through the fractional-accumulator domain
-    ///   crossing: after `k` interconnect cycles the channel has been
-    ///   granted `floor((dram_acc + k·dram_khz) / icnt_khz)` ticks, and
-    ///   the smallest `k` granting `dt` ticks is
-    ///   `ceil((dt·icnt_khz − dram_acc) / dram_khz)`.
-    ///
-    /// A blocked input head (MSHR full, merge list full, every way
-    /// reserved, or DRAM admission refused) only unblocks via a DRAM
-    /// event — a completion freeing an MSHR entry / reserved way, or a
-    /// command start draining a bank queue — so it needs no extra term.
-    /// Retrying a blocked head in the skipped window would have been
-    /// stat-neutral anyway: `accesses` is incremented and then undone on
-    /// every refusal path, leaving only the (never-reported) L2 policy
-    /// query count, which the reference-mode equivalence suite pins.
-    pub fn next_event(&mut self, now: u64) -> Option<u64> {
-        // Cheap terms first; `head_would_process` replays the whole
-        // admission chain (tag lookup, MSHR probes, victim peek, DRAM
-        // acceptance) and is only worth paying when nothing cheaper
-        // already forces a tick. The computed minimum is unchanged.
-        if !self.out_queue.is_empty() {
-            return Some(now + 1);
-        }
-        let mut t = u64::MAX;
-        if let Some(Reverse(head)) = self.pending.peek() {
-            let ready = head.ready.max(now + 1);
-            if ready == now + 1 {
-                return Some(ready);
-            }
-            t = t.min(ready);
-        }
-        if let Some(act) = self.dram.next_activity() {
-            let dt = act - self.dram.now();
-            let k = (dt * self.cfg.icnt_clock_khz)
-                .saturating_sub(self.dram_acc)
-                .div_ceil(self.cfg.dram_clock_khz)
-                .max(1);
-            if k == 1 {
-                return Some(now + 1);
-            }
-            t = t.min(now + k);
-        }
-        if self.head_would_process() {
-            return Some(now + 1);
-        }
-        (t != u64::MAX).then_some(t)
-    }
-
-    /// Read-only mirror of [`Self::process`] for the input-queue head:
-    /// would it be fully handled next cycle, or retry behind a
-    /// structural hazard? Mirrors the decision chain exactly — tag hit,
-    /// MSHR merge (refused when the merge list is full), MSHR entry
-    /// exhaustion, victim selection via [`LruBaseline::peek_victim`]
-    /// (side-effect-free), and the atomic DRAM-admission check for the
-    /// fetch + victim writeback.
-    fn head_would_process(&mut self) -> bool {
-        let Some(&pkt) = self.in_queue.front() else { return false };
-        let geom = self.cfg.l2_geom;
-        let line = geom.line_addr(pkt.addr);
-        let (set, tag) = (geom.set_of_line(line), geom.tag_of_line(line));
-        if matches!(self.tags.lookup(set, tag), Lookup::Hit { .. }) {
-            return true;
-        }
-        if let Some(entry) = self.mshr.get(&line) {
-            return entry.pkts.len() < self.cfg.l2_mshr_merge;
-        }
-        if self.mshr.len() >= self.cfg.l2_mshr_entries {
-            return false;
-        }
-        let views = self.tags.view_set(set);
-        let way = match self.policy.peek_victim(set, views) {
-            MissDecision::Allocate { way } => way,
-            // `process` would surface these at the event cycle (a stall
-            // retries, a bypass is a typed error) — either way the head
-            // is "handled" enough that the next cycle is an event only
-            // for Bypass; a Stall blocks until a fill frees a way.
-            MissDecision::Stall => return false,
-            MissDecision::Bypass => return true,
-        };
-        let victim = self.tags.line(set, way);
-        let victim_dirty = victim.valid && victim.dirty;
-        let is_write = matches!(pkt.kind, PacketKind::WriteThrough | PacketKind::Writeback);
-        let fetch_needed = !is_write;
-        let wb_addr = victim.tag * geom.line_bytes;
-        match (fetch_needed, victim_dirty) {
-            (true, true) if self.dram.same_bank(pkt.addr, wb_addr) => {
-                self.dram.can_accept_n(pkt.addr, 2)
-            }
-            (true, true) => self.dram.can_accept(pkt.addr) && self.dram.can_accept(wb_addr),
-            (true, false) => self.dram.can_accept(pkt.addr),
-            (false, true) => self.dram.can_accept(wb_addr),
-            (false, false) => true,
-        }
     }
 
     /// State-only L2 access for sampling-mode fast-forward: the same
@@ -823,48 +704,41 @@ mod tests {
     }
 
     #[test]
-    fn driving_only_at_next_event_matches_ticking_every_cycle() {
-        // Tick one partition every cycle; drive its twin only at the
-        // cycles `next_event` names. Replies must surface at identical
-        // cycles with identical observable statistics — the core
-        // conservative-bound invariant of the cycle-leap event core.
+    fn idle_skip_catch_up_matches_ticking_every_cycle() {
+        // Tick one partition every cycle; skip its twin's cycles while
+        // it is idle, as the clock loop does, and let `cycle` catch the
+        // fractional DRAM clock up on wake. Replies must surface at
+        // identical cycles with identical statistics.
         let mut ticked = part();
-        let mut leaped = part();
-        for p in [&mut ticked, &mut leaped] {
-            p.enqueue(read_pkt(PacketKind::ReadReq, 0x8000, 1));
-            p.enqueue(read_pkt(PacketKind::ReadReq, 0x8000 + 0x40_000, 2));
-        }
+        let mut skipped = part();
+        let arrivals = [(0, 0x8000, 1), (377, 0x8000 + 0x40_000, 2), (901, 0x10_000, 3)];
         let mut tick_replies = Vec::new();
-        for now in 0..600 {
+        let mut skip_replies = Vec::new();
+        let mut cycles_run = 0u64;
+        for now in 0..1500 {
+            for &(at, addr, id) in &arrivals {
+                if at == now {
+                    ticked.enqueue(read_pkt(PacketKind::ReadReq, addr, id));
+                    skipped.enqueue(read_pkt(PacketKind::ReadReq, addr, id));
+                }
+            }
             ticked.cycle(now).unwrap();
             while let Some(r) = ticked.pop_reply() {
                 tick_replies.push((now, r.req.id));
             }
-        }
-        assert_eq!(tick_replies.len(), 2, "both fetches must complete");
-
-        let mut leap_replies = Vec::new();
-        let mut now = 0;
-        let mut cycles_run = 0u64;
-        while now < 600 {
-            leaped.cycle(now).unwrap();
-            cycles_run += 1;
-            while let Some(r) = leaped.pop_reply() {
-                leap_replies.push((now, r.req.id));
-            }
-            match leaped.next_event(now) {
-                Some(ev) => {
-                    assert!(ev > now, "next_event must be strictly in the future");
-                    now = ev;
+            if !skipped.idle() {
+                skipped.cycle(now).unwrap();
+                cycles_run += 1;
+                while let Some(r) = skipped.pop_reply() {
+                    skip_replies.push((now, r.req.id));
                 }
-                None => break,
             }
         }
-        assert_eq!(leap_replies, tick_replies, "replies must land on identical cycles");
-        assert!(cycles_run < 600, "leaping must actually skip dead cycles");
-        assert_eq!(leaped.l2_stats().misses_allocated, ticked.l2_stats().misses_allocated);
-        assert_eq!(leaped.dram_stats().reads, ticked.dram_stats().reads);
-        assert_eq!(leaped.dram_stats().row_hits, ticked.dram_stats().row_hits);
+        assert_eq!(tick_replies.len(), 3, "every fetch must complete");
+        assert_eq!(skip_replies, tick_replies, "replies must land on identical cycles");
+        assert!(cycles_run < 1500, "idle cycles must actually be skipped");
+        assert_eq!(skipped.l2_stats(), ticked.l2_stats());
+        assert_eq!(skipped.dram_stats(), ticked.dram_stats());
     }
 
     #[test]

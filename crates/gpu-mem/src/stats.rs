@@ -1,10 +1,8 @@
 //! Counters collected by the memory hierarchy, shaped after the metrics
 //! the paper's figures report.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-cache counters (one per L1D; merged across SMs for reports).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Transactions presented to the cache (excluding retries of stalled
     /// accesses).
@@ -121,7 +119,7 @@ impl CacheStats {
 }
 
 /// Interconnect counters (Figure 13's metric).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IcntStats {
     /// Flits injected SM → partition.
     pub fwd_flits: u64,

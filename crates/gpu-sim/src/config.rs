@@ -48,24 +48,13 @@ pub struct SimConfig {
     /// Run the invariant auditor every this many cycles (0 = off).
     /// Building `gpu-sim` with the `audit` cargo feature turns it on by
     /// default; any build can enable it per run by setting this field.
+    /// An audited run also cycles every busy SM instead of letting
+    /// parked SMs sleep (results are byte-identical either way).
     pub audit_interval: u64,
-    /// Cycle-leap event core: jump `now` straight to the next scheduled
-    /// event instead of ticking through memory-stall dead time. Results
-    /// are byte-identical either way (the reference-mode equivalence
-    /// suite pins this); `false` selects the tick-every-cycle reference
-    /// path, mainly for differential testing and debugging.
-    pub leap: bool,
     /// Deterministic fault injection into the memory system — used by
     /// the integrity tests to prove the watchdog and auditor catch
     /// corruption. `None` (the default) simulates faithfully.
     pub fault: Option<FaultConfig>,
-    /// Sharded epoch engine: partition the SMs and memory partitions
-    /// into this many shards and run them on parallel threads in
-    /// deterministic lock-step epochs bounded by the crossbar hop
-    /// latency. Statistics are byte-identical at any shard count (the
-    /// shard-equivalence suite pins 1 vs 2 vs 4). 1 (the default)
-    /// selects the classic single-threaded path; requires `leap`.
-    pub shards: usize,
     /// SMARTS-style interval sampling: `Some` alternates detailed
     /// measurement windows with functional fast-forward and reports
     /// per-window counter samples for confidence intervals. `None`
@@ -97,18 +86,9 @@ impl SimConfig {
             // of cycles, so 50k quiet cycles means a real deadlock.
             watchdog_cycles: 50_000,
             audit_interval: if cfg!(feature = "audit") { 4096 } else { 0 },
-            leap: true,
             fault: None,
-            shards: 1,
             sampling: None,
         }
-    }
-
-    /// Select the tick-every-cycle reference path instead of the
-    /// cycle-leap event core (differential testing / debugging).
-    pub fn with_reference_ticking(mut self) -> Self {
-        self.leap = false;
-        self
     }
 
     /// Same platform with a different L1D geometry (the 32 KB / 64 KB
@@ -134,20 +114,26 @@ impl SimConfig {
         self
     }
 
-    /// Run the machine as `shards` parallel lock-step shards (1 =
-    /// classic single-threaded execution). Statistics are byte-identical
-    /// at any count; values beyond the component counts are clamped at
-    /// run time.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1);
-        self.shards = shards;
+    /// Warp slots a CTA may use on one SM: the hardware limit, or the
+    /// throttle when one is set. A grid whose CTAs need more cannot
+    /// run; [`crate::Gpu::new`] asserts it and trace ingestion rejects
+    /// such a file up front.
+    pub fn usable_warp_slots(&self) -> usize {
+        self.warp_limit.unwrap_or(self.max_warps_per_sm).min(self.max_warps_per_sm)
+    }
+
+    /// Accepts only `shards == 1` and changes nothing: the simulator
+    /// runs single-threaded. Kept because the `perfbench` benchmark
+    /// package (which must not change) still calls it.
+    pub fn with_shards(self, shards: usize) -> Self {
+        assert_eq!(shards, 1, "the simulator runs single-threaded");
         self
     }
 
     /// Enable SMARTS-style interval sampling: detailed windows of
     /// `sc.detail` cycles (each preceded by `sc.warmup` discarded
     /// warm-up cycles) separated by functionally fast-forwarded gaps
-    /// of `sc.skip` cycles. Forces the sequential shard path.
+    /// of `sc.skip` cycles.
     pub fn with_sampling(mut self, sc: SamplingConfig) -> Self {
         self.sampling = Some(sc);
         self
@@ -182,9 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_single_threaded() {
+    fn with_shards_accepts_only_a_single_shard() {
         let c = SimConfig::tesla_m2090(PolicyKind::Baseline);
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.with_shards(4).shards, 4);
+        assert_eq!(c.with_shards(1).num_sms, c.num_sms, "a no-op for one shard");
+        assert!(std::panic::catch_unwind(|| c.with_shards(2)).is_err());
+    }
+
+    #[test]
+    fn usable_warp_slots_honour_the_throttle() {
+        let c = SimConfig::tesla_m2090(PolicyKind::Baseline);
+        assert_eq!(c.usable_warp_slots(), 48);
+        assert_eq!(c.with_warp_limit(8).usable_warp_slots(), 8);
     }
 }

@@ -63,16 +63,13 @@ pub enum SimError {
         /// Core cycle of the failure.
         cycle: u64,
     },
-    /// A launch-cursor replay overflowed `usize`: the round-robin CTA
-    /// launch cursor could not be advanced by `sms × skipped` scan
-    /// slots without wrapping, which would silently corrupt the CTA
-    /// launch order. Practically unreachable on 64-bit hosts, but a
-    /// wrap must abort rather than desync the launch schedule.
+    /// The round-robin CTA launch cursor overflowed `usize`. A wrap
+    /// would silently corrupt the CTA launch order. Practically
+    /// unreachable on 64-bit hosts, but a wrap must abort rather than
+    /// desync the launch schedule.
     LaunchCursorOverflow {
-        /// Core cycle at which the replay was attempted.
+        /// Core cycle of the launch scan.
         cycle: u64,
-        /// Denied launch-scan slots the replay tried to add.
-        slots: u128,
     },
     /// The periodic invariant auditor found a conservation law broken.
     InvariantViolation {
@@ -109,10 +106,9 @@ impl fmt::Display for SimError {
             SimError::WarpStateCorrupt { sm, slot, what, cycle } => {
                 write!(f, "SM {sm} warp slot {slot} corrupt at cycle {cycle}: {what}")
             }
-            SimError::LaunchCursorOverflow { cycle, slots } => write!(
-                f,
-                "CTA launch cursor overflowed replaying {slots} denied scan slots at cycle {cycle}"
-            ),
+            SimError::LaunchCursorOverflow { cycle } => {
+                write!(f, "CTA launch cursor overflowed at cycle {cycle}")
+            }
             SimError::InvariantViolation { check, detail, cycle } => {
                 write!(f, "invariant '{check}' violated at cycle {cycle}: {detail}")
             }

@@ -11,29 +11,26 @@
 //! 5. injects partition replies back into the crossbar,
 //! 6. delivers arrived replies to the owning SM's L1D.
 //!
-//! # Cycle-leap event core
+//! # Idle-skip and per-SM sleep
 //!
-//! Memory-bound kernels spend most of their cycles stalled: every warp
-//! blocked on a scoreboard, every queue waiting on a latency that was
-//! fixed the moment the packet was stamped. Instead of ticking through
-//! that dead time, [`Gpu::run`] asks each component for a *conservative*
-//! bound on its next event ([`Sm::next_event`],
-//! [`MemoryPartition::next_event`], the crossbar's queue-head ready
-//! stamps) and jumps `now` straight to the minimum. Skipped cycles are
-//! replayed arithmetically ([`Gpu::leap_to`]) so the aging counters —
-//! L1D stall classes, rejected submits, the CTA round-robin cursor, the
-//! partitions' fractional DRAM clocks — end up byte-identical to a
-//! tick-every-cycle run. `SimConfig::leap = false` selects the original
-//! reference loop; under the `audit` feature every leap window is
-//! re-simulated tick-by-tick and each cycle asserted to be a no-op (see
-//! DESIGN.md "Cycle-leap event core").
+//! Every cycle is stepped, but not every component is cycled in it.
+//! *Idle-skip* (`sm_busy` / `part_busy`) leaves a component with no
+//! work untouched until an event gives it some; a partition catches
+//! its fractional DRAM clock up on wake. *Per-SM sleep* goes further
+//! for busy SMs: an SM parked on a full MSHR caches the conservative
+//! bound [`Sm::next_event`] names and skips its `cycle` call until that
+//! cycle or an external input (reply, CTA launch), then replays the gap
+//! arithmetically with [`Sm::leap_catchup`]. Memory-bound kernels keep
+//! some partition busy almost every cycle, so whole-machine quiet spans
+//! are rare, but most SMs sit parked for most of them. Results are
+//! byte-identical with the sleep on or off; it is off whenever the
+//! invariant auditor runs (see DESIGN.md "Idle-skip and per-SM sleep").
 
 use crate::audit::{check_flit_conservation, check_reply_conservation, FlowCounters};
 use crate::config::SimConfig;
 use crate::error::{HangReport, PartitionSnapshot, SimError, SmSnapshot};
 use crate::kernel::Kernel;
 use crate::sampling::{SamplingConfig, SamplingReport, WindowSample};
-use crate::shard::ShardTelemetry;
 use crate::sm::Sm;
 use crate::stats::RunStats;
 use gpu_mem::fault::{FaultInjector, FaultSite};
@@ -43,202 +40,101 @@ use gpu_mem::packet::Packet;
 use gpu_mem::partition::MemoryPartition;
 use std::collections::VecDeque;
 
-/// Advance the round-robin CTA launch cursor by `slots` denied scan
-/// slots with overflow detection: a wrap would silently rotate the
+/// Advance the round-robin CTA launch cursor by one denied or granted
+/// scan slot with overflow detection: a wrap would silently rotate the
 /// launch order, which is a fidelity corruption, not a recoverable
-/// condition. Shared by the per-cycle launch scan, the leap replay and
-/// the shard barrier replay.
-pub(crate) fn advance_cursor(cursor: &mut usize, slots: u128, now: u64) -> Result<(), SimError> {
-    let overflow = SimError::LaunchCursorOverflow { cycle: now, slots };
-    let sum = (*cursor as u128).checked_add(slots).ok_or_else(|| overflow.clone())?;
-    *cursor = usize::try_from(sum).map_err(|_| overflow)?;
-    Ok(())
-}
-
-/// Build the crossbar and memory partitions (with any configured fault
-/// injectors) from scratch — shared by [`Gpu::new`] and the sharded
-/// engine's misspeculation restart, which must reproduce the injector
-/// seeds exactly.
-fn build_memory_system(cfg: &SimConfig) -> (Interconnect, Vec<MemoryPartition>) {
-    let mut icnt = Interconnect::new(cfg.icnt);
-    let mut parts: Vec<MemoryPartition> =
-        (0..cfg.icnt.num_partitions).map(|_| MemoryPartition::new(cfg.partition)).collect();
-    if let Some(f) = cfg.fault {
-        match f.site {
-            FaultSite::IcntForward | FaultSite::IcntReturn => {
-                icnt.set_fault_injector(FaultInjector::new(f));
-            }
-            FaultSite::Dram => {
-                for (i, p) in parts.iter_mut().enumerate() {
-                    p.set_dram_fault_injector(FaultInjector::with_salt(f, i as u64));
-                }
-            }
-        }
-    }
-    (icnt, parts)
-}
-
-/// Every conservation and structural check, against an explicitly
-/// assembled view of the machine. [`Gpu::run_audit`] passes its own
-/// component vectors; the sharded engine passes references collected
-/// from the shards in global order at a barrier (where the crossbar is
-/// authoritative because the round has been merged).
-pub(crate) fn audit_machine(
-    now: u64,
-    counters: &FlowCounters,
-    icnt: &Interconnect,
-    sms: &[&Sm],
-    parts: &[&MemoryPartition],
-) -> Result<(), SimError> {
-    let fail = |check: &'static str, detail: String| SimError::InvariantViolation {
-        check,
-        detail,
-        cycle: now,
-    };
-
-    let in_partitions: usize = parts.iter().map(|p| p.held_reply_packets()).sum();
-    let in_network = icnt.fwd_expecting_reply() + icnt.ret_in_flight();
-    check_reply_conservation(
-        counters.fetches_sent,
-        counters.replies_delivered,
-        in_network,
-        in_partitions,
-    )
-    .map_err(|d| fail("reply conservation", d))?;
-
-    let (fwd_in_flight, ret_in_flight) = icnt.in_flight_flits();
-    let stats = icnt.stats();
-    check_flit_conservation(
-        "forward",
-        stats.fwd_flits,
-        counters.fwd_flits_delivered,
-        fwd_in_flight,
-    )
-    .map_err(|d| fail("flit conservation", d))?;
-    check_flit_conservation(
-        "return",
-        stats.ret_flits,
-        counters.ret_flits_delivered,
-        ret_in_flight,
-    )
-    .map_err(|d| fail("flit conservation", d))?;
-
-    for (s, sm) in sms.iter().enumerate() {
-        sm.l1d.audit().map_err(|d| fail("L1D structural audit", format!("SM {s}: {d}")))?;
-    }
-    for (p, part) in parts.iter().enumerate() {
-        part.audit()
-            .map_err(|d| fail("partition structural audit", format!("partition {p}: {d}")))?;
-    }
+/// condition.
+fn advance_cursor(cursor: &mut usize, now: u64) -> Result<(), SimError> {
+    *cursor = cursor.checked_add(1).ok_or(SimError::LaunchCursorOverflow { cycle: now })?;
     Ok(())
 }
 
 /// A configured GPU with a kernel to run.
 pub struct Gpu {
-    pub(crate) cfg: SimConfig,
-    pub(crate) sms: Vec<Sm>,
-    pub(crate) icnt: Interconnect,
-    pub(crate) parts: Vec<MemoryPartition>,
-    pub(crate) kernel: Box<dyn Kernel>,
-    pub(crate) pending_ctas: VecDeque<usize>,
-    pub(crate) launch_cursor: usize,
-    pub(crate) now: u64,
-    pub(crate) counters: FlowCounters,
+    cfg: SimConfig,
+    sms: Vec<Sm>,
+    icnt: Interconnect,
+    parts: Vec<MemoryPartition>,
+    kernel: Box<dyn Kernel>,
+    pending_ctas: VecDeque<usize>,
+    launch_cursor: usize,
+    now: u64,
+    counters: FlowCounters,
     /// Progress metric (insns issued + replies delivered) at the last
     /// cycle it changed, and that cycle — the watchdog's state.
-    pub(crate) last_progress: u64,
-    pub(crate) last_progress_cycle: u64,
+    last_progress: u64,
+    last_progress_cycle: u64,
     /// Idle-skip state: which SMs / partitions have work. A component is
     /// promoted to busy at the event that gives it work (CTA launch,
     /// packet enqueue, reply delivery) and demoted after a cycle in
     /// which it reports idle — quiescent components are not ticked at
     /// all, and the busy counts make [`Gpu::finished`] O(1).
-    pub(crate) sm_busy: Vec<bool>,
-    pub(crate) part_busy: Vec<bool>,
-    pub(crate) busy_sms: usize,
-    pub(crate) busy_parts: usize,
+    sm_busy: Vec<bool>,
+    part_busy: Vec<bool>,
+    busy_sms: usize,
+    busy_parts: usize,
     /// Running total of warp instructions issued (the watchdog metric's
     /// SM half, maintained incrementally).
-    pub(crate) total_warp_insns: u64,
-    /// Cycles actually stepped (as opposed to leapt over). With the
-    /// cycle-leap event core this is the count of event cycles; the
-    /// ratio against [`RunStats::cycles`] is the leap efficiency
-    /// reported by the benchmark telemetry. Deliberately *not* part of
-    /// [`RunStats`]: simulated results are byte-identical with leaping
-    /// on or off, and this counter is the one number that legitimately
-    /// differs.
-    pub(crate) ticked_cycles: u64,
-    /// The component that most recently forced a tick (reported an event
-    /// at `now + 1`). Active phases are bursty — the same SM or
-    /// partition stays hot for many consecutive cycles — so
-    /// [`Gpu::next_step_cycle`] re-checks this one component first and
-    /// skips the full scan while it stays hot. Purely an optimization:
-    /// "no leap" is always a conservative answer, so a stale hint can
-    /// only cost a scan, never correctness.
-    pub(crate) leap_hint: LeapHint,
+    total_warp_insns: u64,
+    /// Cycles stepped by the detailed loop. Exact runs step every
+    /// cycle, so this equals [`RunStats::cycles`]; sampled runs step
+    /// only their detailed windows. Deliberately *not* part of
+    /// [`RunStats`], which holds simulated results only.
+    ticked_cycles: u64,
     /// Per-SM sleep: `sm_next_ev[s]` is a conservative bound below which
-    /// SM `s` has no internal event (same bound [`Sm::next_event`] feeds
-    /// the global leap), so its `cycle` call is skipped even on cycles
-    /// the machine as a whole must tick — a memory storm keeps the
-    /// partitions busy every cycle, but the 15 SMs parked on full MSHRs
-    /// would each re-probe their stalled access per tick for nothing.
-    /// 0 means "must cycle" (external input arrived), `u64::MAX` means
-    /// "wake only on an interconnect reply".
-    pub(crate) sm_next_ev: Vec<u64>,
+    /// SM `s` has no internal event ([`Sm::next_event`]), so its `cycle`
+    /// call is skipped even on cycles the machine as a whole must tick
+    /// — a memory storm keeps the partitions busy every cycle, but the
+    /// SMs parked on full MSHRs would each re-probe their stalled
+    /// access per tick for nothing. 0 means "must cycle" (external
+    /// input arrived), `u64::MAX` means "wake only on an interconnect
+    /// reply".
+    sm_next_ev: Vec<u64>,
     /// The last cycle SM `s` actually ran `cycle`, i.e. has aged its
     /// stall counters through. A waking SM first replays the gap with
     /// [`Sm::leap_catchup`]; [`Gpu::settle_sms`] does the same before
-    /// any state is reported (stats, hang reports). This single
-    /// deferred-aging account also covers whole-machine leaps.
-    pub(crate) sm_last_cycled: Vec<u64>,
+    /// any state is reported (stats, hang reports).
+    sm_last_cycled: Vec<u64>,
     /// Whether SM `s` slept through the step in progress — latched at
     /// the cycle phase, because the phase itself refreshes `sm_next_ev`
     /// to a future cycle and later phases (the forward drain) must see
     /// the decision, not the refreshed bound.
-    pub(crate) sm_asleep: Vec<bool>,
-    /// Whether any L1D observer is attached. Observed runs force the
-    /// single-threaded path: the sharded engine's misspeculation
-    /// restart would replay accesses into the (external, shared)
-    /// observer sink, and restart cannot unsee them.
-    pub(crate) observed: bool,
-    /// Latched after a shard misspeculation restart: the rest of this
-    /// GPU's lifetime runs single-threaded so the sequential replay's
-    /// byte-identity guarantee holds without re-restarting.
-    pub(crate) shards_disabled: bool,
-    /// Accumulated sharded-engine telemetry (empty when every run took
-    /// the classic path).
-    pub(crate) shard_telemetry: ShardTelemetry,
+    sm_asleep: Vec<bool>,
     /// What the SMARTS sampling controller measured, when
     /// [`SimConfig::sampling`] was set for the last `run`.
-    pub(crate) sampling_report: Option<SamplingReport>,
-}
-
-/// See [`Gpu::leap_hint`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LeapHint {
-    None,
-    /// `sms[i].next_event` said `now + 1`.
-    Sm(usize),
-    /// The return queue toward SM `i` had a ripe head.
-    IcntRet(usize),
-    /// Partition `i` could pop a ripe forward packet.
-    IcntFwd(usize),
-    /// `parts[i].next_event` said `now + 1`.
-    Partition(usize),
+    sampling_report: Option<SamplingReport>,
 }
 
 impl Gpu {
     /// Build the platform and queue every CTA of the kernel's grid.
+    ///
+    /// Panics when a CTA needs more warp slots than an SM offers
+    /// ([`SimConfig::usable_warp_slots`]); untrusted kernels (trace
+    /// files) are checked against the same bound before they get here.
     pub fn new(cfg: SimConfig, kernel: Box<dyn Kernel>) -> Self {
         let grid = kernel.grid();
-        let slots = cfg.warp_limit.unwrap_or(cfg.max_warps_per_sm).min(cfg.max_warps_per_sm);
+        let slots = cfg.usable_warp_slots();
         assert!(
             grid.warps_per_cta <= slots,
             "CTA of {} warps cannot fit an SM of {} usable slots",
             grid.warps_per_cta,
             slots
         );
-        let (icnt, parts) = build_memory_system(&cfg);
+        let mut icnt = Interconnect::new(cfg.icnt);
+        let mut parts: Vec<MemoryPartition> =
+            (0..cfg.icnt.num_partitions).map(|_| MemoryPartition::new(cfg.partition)).collect();
+        if let Some(f) = cfg.fault {
+            match f.site {
+                FaultSite::IcntForward | FaultSite::IcntReturn => {
+                    icnt.set_fault_injector(FaultInjector::new(f));
+                }
+                FaultSite::Dram => {
+                    for (i, p) in parts.iter_mut().enumerate() {
+                        p.set_dram_fault_injector(FaultInjector::with_salt(f, i as u64));
+                    }
+                }
+            }
+        }
         Gpu {
             sms: (0..cfg.num_sms).map(|i| Sm::new(i, &cfg)).collect(),
             icnt,
@@ -256,78 +152,19 @@ impl Gpu {
             busy_parts: 0,
             total_warp_insns: 0,
             ticked_cycles: 0,
-            leap_hint: LeapHint::None,
             sm_next_ev: vec![0; cfg.num_sms],
             sm_last_cycled: vec![0; cfg.num_sms],
             sm_asleep: vec![false; cfg.num_sms],
-            observed: false,
-            shards_disabled: false,
-            shard_telemetry: ShardTelemetry::default(),
             sampling_report: None,
             cfg,
         }
     }
 
-    /// Cycles actually stepped, as opposed to leapt over. The benchmark
-    /// harness reports `ticked_cycles / cycles` as leap efficiency.
+    /// Cycles stepped by the detailed loop: equal to
+    /// [`RunStats::cycles`] on exact runs, lower on sampled runs
+    /// (fast-forwarded gaps are not stepped).
     pub fn ticked_cycles(&self) -> u64 {
         self.ticked_cycles
-    }
-
-    /// Telemetry from the sharded epoch engine, accumulated across
-    /// every `run`/`run_for` call of this GPU. All-zero (and an empty
-    /// per-shard vector) when every run took the classic
-    /// single-threaded path.
-    pub fn shard_telemetry(&self) -> &ShardTelemetry {
-        &self.shard_telemetry
-    }
-
-    /// How many shards this run will actually use. The classic
-    /// single-threaded path (1) is forced when leaping is off (the
-    /// reference loop is the equivalence oracle), when an observer is
-    /// attached (see [`Gpu::observed`]) or after a misspeculation
-    /// restart; otherwise the configured count, clamped to the
-    /// component counts.
-    pub(crate) fn effective_shards(&self) -> usize {
-        if !self.cfg.leap
-            || self.observed
-            || self.shards_disabled
-            || self.cfg.sampling.is_some()
-        {
-            return 1;
-        }
-        self.cfg.shards.clamp(1, self.cfg.num_sms.max(self.cfg.icnt.num_partitions))
-    }
-
-    /// Rebuild every component from the configuration, exactly as
-    /// [`Gpu::new`] left them — the sharded engine's misspeculation
-    /// restart. The kernel is stateless by contract
-    /// ([`Kernel::warp_stream`] is a pure function of `(cta, warp)`),
-    /// so re-queueing the grid reproduces the run from cycle 0. `ticked_cycles` and the shard
-    /// telemetry deliberately survive: work done by the abandoned
-    /// attempt was real wall-clock work and the telemetry reports it.
-    pub(crate) fn reset_run_state(&mut self) {
-        let cfg = self.cfg;
-        let (icnt, parts) = build_memory_system(&cfg);
-        self.sms = (0..cfg.num_sms).map(|i| Sm::new(i, &cfg)).collect();
-        self.icnt = icnt;
-        self.parts = parts;
-        self.pending_ctas = (0..self.kernel.grid().num_ctas).collect();
-        self.launch_cursor = 0;
-        self.now = 0;
-        self.counters = FlowCounters::default();
-        self.last_progress = 0;
-        self.last_progress_cycle = 0;
-        self.sm_busy = vec![false; cfg.num_sms];
-        self.part_busy = vec![false; cfg.icnt.num_partitions];
-        self.busy_sms = 0;
-        self.busy_parts = 0;
-        self.total_warp_insns = 0;
-        self.leap_hint = LeapHint::None;
-        self.sm_next_ev = vec![0; cfg.num_sms];
-        self.sm_last_cycled = vec![0; cfg.num_sms];
-        self.sm_asleep = vec![false; cfg.num_sms];
-        self.sampling_report = None;
     }
 
     #[inline]
@@ -341,19 +178,20 @@ impl Gpu {
         }
     }
 
-    /// Per-SM sleeping is only sound on the leap path, and the audited /
-    /// periodically-audited builds deliberately tick every busy SM so
-    /// the tick-through no-op verification exercises real cycles.
+    /// Per-SM sleep is on unless the invariant auditor runs: audited
+    /// builds and runs deliberately cycle every busy SM, which also
+    /// makes them the sleep-off reference the equivalence tests compare
+    /// against.
     #[inline]
-    pub(crate) fn sm_sleep_enabled(&self) -> bool {
-        self.cfg.leap && self.cfg.audit_interval == 0 && !cfg!(feature = "audit")
+    fn sm_sleep_enabled(&self) -> bool {
+        self.cfg.audit_interval == 0 && !cfg!(feature = "audit")
     }
 
     /// Bring every busy SM's deferred aging up to date (through the
     /// current cycle, inclusive) so externally visible state — run
     /// statistics, hang reports, post-run introspection — is identical
-    /// to what the tick-every-cycle reference produces.
-    pub(crate) fn settle_sms(&mut self) {
+    /// to what cycling every busy SM produces.
+    fn settle_sms(&mut self) {
         let now = self.now;
         for (s, sm) in self.sms.iter_mut().enumerate() {
             if !self.sm_busy[s] {
@@ -368,12 +206,8 @@ impl Gpu {
     }
 
     /// Attach a reuse-distance observer to one SM's L1D (do this before
-    /// running). Observed runs always take the classic single-threaded
-    /// path regardless of [`SimConfig::shards`] — the shard engine's
-    /// misspeculation restart cannot withdraw accesses already pushed
-    /// into an external sink.
+    /// running).
     pub fn set_l1d_observer(&mut self, sm: usize, obs: Box<dyn AccessObserver>) {
-        self.observed = true;
         self.sms[sm].l1d.set_observer(obs);
     }
 
@@ -414,7 +248,7 @@ impl Gpu {
             } else {
                 denied += 1;
             }
-            advance_cursor(&mut self.launch_cursor, 1, self.now)?;
+            advance_cursor(&mut self.launch_cursor, self.now)?;
         }
         Ok(())
     }
@@ -428,8 +262,8 @@ impl Gpu {
         self.launch_ctas()?;
 
         // Cycle only SMs with work; an idle SM's cycle is a no-op, so
-        // skipping it changes nothing but wall time. On the leap path a
-        // busy SM additionally *sleeps* through its own dead time
+        // skipping it changes nothing but wall time. A busy SM
+        // additionally *sleeps* through its own dead time
         // (`sm_next_ev`): cycles the machine must tick for other
         // components' sake skip this SM's cycle entirely, and the waking
         // SM first replays the gap arithmetically. `leap_catchup` is
@@ -455,7 +289,6 @@ impl Gpu {
                 self.sm_next_ev[s] = sm.next_event(now).unwrap_or(u64::MAX);
             }
         }
-
 
         // L1D miss queues -> crossbar (forward direction). Idle SMs have
         // empty miss queues by definition, and a sleeping SM's outgoing
@@ -484,7 +317,6 @@ impl Gpu {
                 self.busy_sms -= 1;
             }
         }
-
 
         // Crossbar -> partitions, then partition internals. Ejection is
         // polled for every partition (packets arrive regardless of the
@@ -537,7 +369,6 @@ impl Gpu {
             }
         }
 
-
         // Crossbar -> L1Ds.
         for (s, sm) in self.sms.iter_mut().enumerate() {
             while let Some(pkt) = self.icnt.pop_ret(s, now) {
@@ -563,7 +394,6 @@ impl Gpu {
             }
         }
 
-
         // Forward-progress watchdog (the metric is maintained
         // incrementally instead of re-summed across SMs every cycle).
         let metric = self.counters.replies_delivered + self.total_warp_insns;
@@ -585,229 +415,52 @@ impl Gpu {
         Ok(())
     }
 
-    /// The next cycle [`Gpu::step`] must actually run: the minimum of
-    /// every component's conservative next-event bound, clamped so the
-    /// watchdog and the periodic auditor still observe their exact
-    /// cycles. Returns `now + 1` (no leap) whenever any component could
-    /// act immediately, and degrades to `now + 1` when no event is
-    /// scheduled anywhere (a dropped-packet deadlock with the watchdog
-    /// off ticks toward the cycle cap exactly as the reference loop
-    /// does).
-    fn next_step_cycle(&mut self) -> u64 {
-        let now = self.now;
-        let fallthrough = now + 1;
-        // A launchable CTA issues next cycle; only a fully denied scan
-        // (every SM full) is skippable dead time.
-        if !self.pending_ctas.is_empty() {
-            let wpc = self.kernel.grid().warps_per_cta;
-            if self.sms.iter().any(|sm| sm.can_accept_cta(wpc)) {
-                return fallthrough;
-            }
-        }
-        // Fast path: the component that forced the last tick usually
-        // forces this one too — one probe instead of a machine-wide
-        // scan. A miss falls through to the full scan, which refreshes
-        // the hint; a stale hint is therefore never a correctness issue.
-        let hot = match self.leap_hint {
-            LeapHint::None => false,
-            LeapHint::Sm(s) => {
-                self.sm_busy[s]
-                    && if self.sm_sleep_enabled() {
-                        self.sm_next_ev[s] <= fallthrough
-                    } else {
-                        matches!(self.sms[s].next_event(now), Some(ev) if ev <= fallthrough)
-                    }
-            }
-            LeapHint::IcntRet(s) => self.icnt.next_ret_ready(s).is_some_and(|r| r <= fallthrough),
-            LeapHint::IcntFwd(p) => {
-                self.parts[p].can_accept()
-                    && self.icnt.next_fwd_ready(p).is_some_and(|r| r <= fallthrough)
-            }
-            LeapHint::Partition(p) => {
-                self.part_busy[p]
-                    && matches!(self.parts[p].next_event(now), Some(ev) if ev <= fallthrough)
-            }
-        };
-        if hot {
-            return fallthrough;
-        }
-        let mut t = u64::MAX;
-        if self.sm_sleep_enabled() {
-            // The per-SM sleep cache holds exactly the bound this scan
-            // needs — maintained by step(), so no SM is re-probed here.
-            for s in 0..self.sms.len() {
-                if !self.sm_busy[s] {
-                    continue;
-                }
-                let ev = self.sm_next_ev[s];
-                if ev <= fallthrough {
-                    self.leap_hint = LeapHint::Sm(s);
-                    return fallthrough;
-                }
-                t = t.min(ev);
-            }
-        } else {
-            for (s, sm) in self.sms.iter_mut().enumerate() {
-                if !self.sm_busy[s] {
-                    continue;
-                }
-                match sm.next_event(now) {
-                    Some(ev) if ev <= fallthrough => {
-                        self.leap_hint = LeapHint::Sm(s);
-                        return fallthrough;
-                    }
-                    Some(ev) => t = t.min(ev),
-                    None => {}
-                }
-            }
-        }
-        // Crossbar queue heads eject strictly in FIFO order, so the head
-        // ready stamp gates each port. Return packets are always
-        // deliverable; forward packets only land while the partition's
-        // input queue has room (a full queue drains only via a partition
-        // event, which the partition's own bound covers).
-        for s in 0..self.sms.len() {
-            if let Some(ready) = self.icnt.next_ret_ready(s) {
-                if ready <= fallthrough {
-                    self.leap_hint = LeapHint::IcntRet(s);
-                    return fallthrough;
-                }
-                t = t.min(ready);
-            }
-        }
-        for (p, part) in self.parts.iter_mut().enumerate() {
-            if part.can_accept() {
-                if let Some(ready) = self.icnt.next_fwd_ready(p) {
-                    if ready <= fallthrough {
-                        self.leap_hint = LeapHint::IcntFwd(p);
-                        return fallthrough;
-                    }
-                    t = t.min(ready);
-                }
-            }
-            if self.part_busy[p] {
-                match part.next_event(now) {
-                    Some(ev) if ev <= fallthrough => {
-                        self.leap_hint = LeapHint::Partition(p);
-                        return fallthrough;
-                    }
-                    Some(ev) => t = t.min(ev),
-                    None => {}
-                }
-            }
-        }
-        self.leap_hint = LeapHint::None;
-        // The watchdog must fire at the identical cycle a ticked run
-        // would report, and scheduled audits must run on schedule — a
-        // leap never jumps across either.
-        if self.cfg.watchdog_cycles > 0 {
-            t = t.min(self.last_progress_cycle + self.cfg.watchdog_cycles);
-        }
-        if self.cfg.audit_interval > 0 {
-            t = t.min((now + 1).next_multiple_of(self.cfg.audit_interval));
-        }
-        if t == u64::MAX {
-            return fallthrough;
-        }
-        t.max(fallthrough)
-    }
-
-    /// Advance `now` to `target`, replaying the skipped cycles — all
-    /// provably no-ops per [`Gpu::next_step_cycle`] — arithmetically:
-    ///
-    /// - a pending-CTA backlog would have burned one fully denied
-    ///   round-robin scan per cycle (cursor advances once per SM);
-    /// - SMs need nothing here: deferred aging (`sm_last_cycled`)
-    ///   replays the gap via [`Sm::leap_catchup`] when each SM next
-    ///   cycles or when [`Gpu::settle_sms`] runs;
-    /// - partitions need nothing either: their fractional DRAM clock
-    ///   catches up lazily on the next [`MemoryPartition::cycle`] call.
-    ///
-    /// Under the `audit` feature the window is instead re-simulated
-    /// tick-by-tick, asserting after every step that the activity
-    /// signature did not change — i.e. that the leap bound really was
-    /// conservative. Statistics come out identical on that path too,
-    /// because the replayed cycles age the same counters the arithmetic
-    /// path adds in bulk.
-    fn leap_to(&mut self, target: u64) -> Result<(), SimError> {
-        debug_assert!(target >= self.now, "leap target is in the past");
-        if cfg!(feature = "audit") {
-            while self.now < target {
-                let before = self.activity_signature();
-                self.step()?;
-                debug_assert_eq!(
-                    before,
-                    self.activity_signature(),
-                    "cycle {} inside a leap window was not a no-op",
-                    self.now
-                );
-            }
-            return Ok(());
-        }
-        let skipped = target - self.now;
-        if skipped == 0 {
-            return Ok(());
-        }
-        if !self.pending_ctas.is_empty() {
-            // Each skipped cycle was a fully denied round-robin scan:
-            // the cursor advanced once per SM. Checked — a silent wrap
-            // would rotate the launch order (see `advance_cursor`).
-            let slots = (self.sms.len() as u128) * u128::from(skipped);
-            advance_cursor(&mut self.launch_cursor, slots, self.now)?;
-        }
-        self.now = target;
-        Ok(())
-    }
-
-    /// FNV-1a hash of everything that distinguishes an *active* cycle
-    /// from dead time: flow counters, queue occupancies, in-flight
-    /// packet census, DRAM traffic. Aging counters (stall cycles,
-    /// rejected submits, the launch cursor) are deliberately excluded —
-    /// they advance in dead time by design and are replayed
-    /// arithmetically. Used by the `audit`-feature leap verification.
-    fn activity_signature(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                // dlp-lint: allow(F103) -- FNV-1a is modular multiplication by definition
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        put(self.total_warp_insns);
-        put(self.counters.fetches_sent);
-        put(self.counters.replies_delivered);
-        put(self.counters.fwd_flits_delivered);
-        put(self.counters.ret_flits_delivered);
-        put(self.icnt.in_flight() as u64);
-        put(self.pending_ctas.len() as u64);
-        put(self.busy_sms as u64);
-        put(self.busy_parts as u64);
-        for sm in &self.sms {
-            put(sm.active_warps() as u64);
-            put(sm.ldst_queue_len() as u64);
-            put(sm.l1d.mshr_occupancy() as u64);
-            put(sm.l1d.outgoing_len() as u64);
-            put(sm.l1d.pending_responses() as u64);
-        }
-        for p in &self.parts {
-            put(p.in_queue_len() as u64);
-            put(p.l2_mshr_occupancy() as u64);
-            put(p.out_queue_len() as u64);
-            let d = p.dram_stats();
-            put(d.reads + d.writes);
-        }
-        h
-    }
-
-    /// Run every conservation and structural check once, at the current
+        /// Run every conservation and structural check once, at the current
     /// cycle. Exposed so tests can audit at a chosen instant. Cold: it
     /// runs once per `audit_interval` cycles, never per tick.
     #[cold]
     pub fn run_audit(&self) -> Result<(), SimError> {
-        let sms: Vec<&Sm> = self.sms.iter().collect();
-        let parts: Vec<&MemoryPartition> = self.parts.iter().collect();
-        audit_machine(self.now, &self.counters, &self.icnt, &sms, &parts)
+        let fail = |check: &'static str, detail: String| SimError::InvariantViolation {
+            check,
+            detail,
+            cycle: self.now,
+        };
+
+        let in_partitions: usize = self.parts.iter().map(|p| p.held_reply_packets()).sum();
+        let in_network = self.icnt.fwd_expecting_reply() + self.icnt.ret_in_flight();
+        check_reply_conservation(
+            self.counters.fetches_sent,
+            self.counters.replies_delivered,
+            in_network,
+            in_partitions,
+        )
+        .map_err(|d| fail("reply conservation", d))?;
+
+        let (fwd_in_flight, ret_in_flight) = self.icnt.in_flight_flits();
+        let stats = self.icnt.stats();
+        check_flit_conservation(
+            "forward",
+            stats.fwd_flits,
+            self.counters.fwd_flits_delivered,
+            fwd_in_flight,
+        )
+        .map_err(|d| fail("flit conservation", d))?;
+        check_flit_conservation(
+            "return",
+            stats.ret_flits,
+            self.counters.ret_flits_delivered,
+            ret_in_flight,
+        )
+        .map_err(|d| fail("flit conservation", d))?;
+
+        for (s, sm) in self.sms.iter().enumerate() {
+            sm.l1d.audit().map_err(|d| fail("L1D structural audit", format!("SM {s}: {d}")))?;
+        }
+        for (p, part) in self.parts.iter().enumerate() {
+            part.audit()
+                .map_err(|d| fail("partition structural audit", format!("partition {p}: {d}")))?;
+        }
+        Ok(())
     }
 
     /// Watchdog abort: box the diagnostic snapshot into the error off
@@ -858,7 +511,7 @@ impl Gpu {
         }
     }
 
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         // O(1): busy counts are maintained by step(); a component is
         // demoted only after a cycle in which it reported idle, so the
         // counts reaching zero implies the full scans would too.
@@ -882,22 +535,10 @@ impl Gpu {
         if let Some(sc) = self.cfg.sampling {
             return self.run_sampled(sc);
         }
-        if self.effective_shards() > 1 {
-            return crate::shard::run_sharded(self, None);
-        }
         while !self.finished() {
             if self.now >= self.cfg.max_cycles {
                 self.settle_sms();
                 return Err(SimError::CycleCapExceeded(Box::new(self.hang_report())));
-            }
-            if self.cfg.leap {
-                // Leap to just before the next event, then step it. The
-                // cycle-cap clamp keeps the overrun error surfacing at
-                // the same cycle the reference loop reports.
-                let target = self.next_step_cycle().min(self.cfg.max_cycles);
-                if target > self.now + 1 {
-                    self.leap_to(target - 1)?;
-                }
             }
             self.step()?;
         }
@@ -910,23 +551,7 @@ impl Gpu {
     /// requested horizon is success, not an error.
     pub fn run_for(&mut self, cycles: u64) -> Result<RunStats, SimError> {
         let end = self.now + cycles;
-        if self.effective_shards() > 1 {
-            return crate::shard::run_sharded(self, Some(end));
-        }
         while !self.finished() && self.now < end {
-            if self.cfg.leap {
-                let target = self.next_step_cycle();
-                if target > end {
-                    // The whole remaining horizon is dead time: account
-                    // for it and stop at the horizon, exactly where the
-                    // reference loop would.
-                    self.leap_to(end)?;
-                    break;
-                }
-                if target > self.now + 1 {
-                    self.leap_to(target - 1)?;
-                }
-            }
             self.step()?;
         }
         self.settle_sms();
@@ -993,8 +618,8 @@ impl Gpu {
     }
 
     /// One detailed window: the exact-mode run loop, bounded at
-    /// `self.now + cycles`. Counts every cycle it advances (stepped or
-    /// leapt) as detailed time in the report.
+    /// `self.now + cycles`. Counts every cycle it steps as detailed
+    /// time in the report.
     fn run_detailed_window(
         &mut self,
         cycles: u64,
@@ -1009,27 +634,13 @@ impl Gpu {
                 self.sampling_report = Some(report.clone());
                 return Err(SimError::CycleCapExceeded(Box::new(self.hang_report())));
             }
-            if self.cfg.leap {
-                let target = self.next_step_cycle();
-                if target > end {
-                    // The rest of the window is dead time; account for
-                    // it and stop exactly at the window edge.
-                    self.leap_to(end)?;
-                    break;
-                }
-                if target > self.now + 1 {
-                    self.leap_to(target - 1)?;
-                }
-            }
             self.step()?;
         }
-        // The loop may have leapt to the window edge without stepping.
-        // [`MemoryPartition::next_event`] computes its DRAM-domain term
-        // relative to the partition's *internal* clock, which is only
-        // current right after a step that cycled it — so before the next
-        // window probes for a leap bound, replay the leapt tail into
-        // each partition's clock (sound: the bound that licensed the
-        // leap guarantees the tail was quiet).
+        // Pin each partition's DRAM clock bookkeeping to the window edge
+        // before the drain and the fast-forward gap. Sampled statistics
+        // depend on the DRAM clock phase this sets: the catch-up grants
+        // the edge cycle no tick of its own in partitions that sat idle
+        // through it.
         for p in &mut self.parts {
             p.advance_quiet(self.now);
         }
@@ -1109,7 +720,7 @@ impl Gpu {
             effects.clear();
             self.sms[s].take_finished_ctas();
         }
-        // 7. Re-derive the busy/sleep bookkeeping the event core trusts.
+        // 7. Re-derive the busy/sleep bookkeeping the clock loop trusts.
         for s in 0..self.sms.len() {
             let idle = self.sms[s].idle();
             match (self.sm_busy[s], idle) {
@@ -1135,7 +746,6 @@ impl Gpu {
             }
         }
         debug_assert_eq!(self.icnt.in_flight(), 0, "crossbar not empty after drain");
-        self.leap_hint = LeapHint::None;
         self.last_progress = self.counters.replies_delivered + self.total_warp_insns;
         self.last_progress_cycle = now;
         Ok(())
@@ -1252,7 +862,7 @@ impl Gpu {
         self.sms.iter().map(|sm| sm.peak_warp_trace_bytes()).max().unwrap_or(0)
     }
 
-    pub(crate) fn collect(&self, completed: bool) -> RunStats {
+    fn collect(&self, completed: bool) -> RunStats {
         let mut out = RunStats { cycles: self.now, completed, ..Default::default() };
         for sm in &self.sms {
             let s = sm.stats();
@@ -1456,21 +1066,11 @@ mod tests {
     #[test]
     fn launch_cursor_overflow_is_a_typed_error() {
         let mut cursor = usize::MAX - 1;
-        assert!(advance_cursor(&mut cursor, 1, 7).is_ok());
+        assert!(advance_cursor(&mut cursor, 7).is_ok());
         assert_eq!(cursor, usize::MAX);
-        let err = advance_cursor(&mut cursor, 1, 9).unwrap_err();
-        match err {
-            SimError::LaunchCursorOverflow { cycle, slots } => {
-                assert_eq!(cycle, 9);
-                assert_eq!(slots, 1);
-            }
-            other => panic!("wrong error variant: {other}"),
-        }
+        let err = advance_cursor(&mut cursor, 9).unwrap_err();
+        assert!(matches!(err, SimError::LaunchCursorOverflow { cycle: 9 }), "{err}");
         assert_eq!(cursor, usize::MAX, "cursor is left untouched on failure");
-        // The leap replay's bulk advance hits the same guard.
-        let mut cursor = usize::MAX - 100;
-        let err = advance_cursor(&mut cursor, 16 * 50_000, 42).unwrap_err();
-        assert!(matches!(err, SimError::LaunchCursorOverflow { cycle: 42, .. }));
     }
 
     #[test]

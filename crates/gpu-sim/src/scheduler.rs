@@ -52,8 +52,8 @@ impl GtoScheduler {
     }
 
     /// The slot the greedy pointer currently prefers (diagnostics; the
-    /// cycle-leap equivalence tests use it to verify that no-issue
-    /// cycles leave scheduler state untouched).
+    /// unit tests use it to verify that no-issue cycles leave scheduler
+    /// state untouched).
     pub fn greedy_slot(&self) -> Option<usize> {
         self.greedy
     }
@@ -61,8 +61,8 @@ impl GtoScheduler {
     /// Pick the warp to issue from this cycle: last-issued if still
     /// ready, else the oldest ready one. Updates the greedy pointer
     /// **only on a successful pick** — a cycle in which nothing is ready
-    /// mutates no scheduler state, which is what lets the cycle-leap
-    /// event core skip dead cycles without touching schedulers at all.
+    /// mutates no scheduler state, which is what lets a sleeping SM
+    /// skip dead cycles without touching its schedulers at all.
     pub fn pick(&mut self, mut ready: impl FnMut(usize) -> bool) -> Option<usize> {
         if let Some(g) = self.greedy {
             if ready(g) {
@@ -112,9 +112,9 @@ mod tests {
 
     #[test]
     fn no_issue_pick_leaves_greedy_untouched() {
-        // The cycle-leap event core skips cycles in which nothing can
-        // issue; that is only sound if a fruitless pick would not have
-        // mutated the greedy pointer.
+        // A sleeping SM skips cycles in which nothing can issue; that
+        // is only sound if a fruitless pick would not have mutated the
+        // greedy pointer.
         let mut s = GtoScheduler::new();
         s.add(0, 0);
         s.add(1, 1);

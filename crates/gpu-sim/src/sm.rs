@@ -85,7 +85,7 @@ impl Sm {
             }
             _ => build_policy(cfg.policy, cfg.l1d.geom),
         };
-        let max_warps = cfg.warp_limit.unwrap_or(cfg.max_warps_per_sm).min(cfg.max_warps_per_sm);
+        let max_warps = cfg.usable_warp_slots();
         assert!(max_warps <= 64, "slot bitmasks require at most 64 warp slots per SM");
         let ns = cfg.schedulers_per_sm;
         Sm {
@@ -342,9 +342,9 @@ impl Sm {
 
     /// Earliest future core cycle (strictly after `now`) at which this
     /// SM could do observable work, or `None` when every remaining
-    /// wakeup must come from outside (an interconnect reply). The
-    /// cycle-leap event core takes the minimum of this bound across all
-    /// busy SMs.
+    /// wakeup must come from outside (an interconnect reply). The clock
+    /// loop caches it as the SM's sleep bound and skips the SM's
+    /// `cycle` calls until then.
     ///
     /// `Some(now + 1)` — the next cycle is an event — whenever:
     /// - a warp is eligible to issue (same mask predicate as
@@ -395,7 +395,7 @@ impl Sm {
         (t != u64::MAX).then_some(t)
     }
 
-    /// Replay `skipped` provably-no-op cycles after a leap. The only
+    /// Replay `skipped` provably-no-op cycles the SM slept through. The only
     /// per-cycle SM state that ages in dead time lives in the L1D: the
     /// parked access's stall counters and — when a coalesced transaction
     /// waits behind it — the rejected-submit count. Scheduler state is

@@ -3,10 +3,9 @@
 use dlp_core::PolicyStats;
 use gpu_mem::dram::DramStats;
 use gpu_mem::stats::{CacheStats, IcntStats};
-use serde::{Deserialize, Serialize};
 
 /// Everything a simulation reports.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Core cycles elapsed.
     pub cycles: u64,
@@ -70,7 +69,7 @@ impl std::fmt::Debug for RunStats {
 }
 
 /// Serializable mirror of [`DramStats`] summed across partitions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DramStats2 {
     /// Read bursts.
     pub reads: u64,

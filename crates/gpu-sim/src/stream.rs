@@ -21,9 +21,8 @@ use crate::isa::{OpKind, TraceOp};
 /// Contract:
 /// * the op sequence is **deterministic**: two streams created from the
 ///   same `(kernel, cta, warp)` yield identical sequences, and
-///   [`OpStream::reset`] rewinds to an identical replay (the sharded
-///   engine's misspeculation restart and the analysis tools both
-///   re-derive traces and must observe the same ops);
+///   [`OpStream::reset`] rewinds to an identical replay (the analysis
+///   tools re-derive traces and must observe the same ops);
 /// * [`OpStream::peek`] does not advance the cursor: `peek()` followed
 ///   by `next_op()` returns the same op;
 /// * resident state is O(1) in the *trace length* — implementations

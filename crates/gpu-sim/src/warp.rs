@@ -130,9 +130,9 @@ impl Warp {
     /// Does unblocking this warp require an *event* — a memory response,
     /// ALU writeback, or store retirement — rather than just another
     /// issue slot? True exactly when the warp is alive but cannot issue.
-    /// The cycle-leap event core leans on this: such a warp cannot
-    /// become issuable inside a leapt window, because every producer
-    /// completion is itself a scheduled event.
+    /// Per-SM sleep leans on this: such a warp cannot become issuable
+    /// while its SM sleeps, because every producer completion is itself
+    /// a scheduled event.
     pub fn needs_wakeup_event(&self) -> bool {
         !self.finished() && !self.scoreboard_ready()
     }

@@ -2,12 +2,11 @@
 
 use gpu_sim::isa::OpKind;
 use gpu_sim::{coalescer, Kernel};
-use serde::{Deserialize, Serialize};
 
 /// The paper's application classification (§3.2): Cache Sufficient
 /// applications have a memory-access ratio below 1 %, Cache Insufficient
 /// ones above.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppClass {
     /// Cache Sufficient — performance insensitive to the L1D.
     CS,
@@ -16,7 +15,7 @@ pub enum AppClass {
 }
 
 /// One row of Table 2.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BenchSpec {
     /// Abbreviation used throughout the figures.
     pub abbr: &'static str,

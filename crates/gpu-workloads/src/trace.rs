@@ -149,6 +149,22 @@ impl TraceKernel {
         Ok(kernel)
     }
 
+    /// Reject a grid whose CTAs need more warp slots than an SM of the
+    /// target machine offers (`slots`, from
+    /// [`gpu_sim::SimConfig::usable_warp_slots`]). The format allows
+    /// any CTA width; only the machine bounds it, and the simulator
+    /// would refuse such a grid with a panic.
+    pub fn check_fits(&self, slots: usize) -> Result<(), TraceError> {
+        let warps = self.grid.warps_per_cta;
+        if warps > slots {
+            return Err(malformed(
+                "grid",
+                format!("CTA of {warps} warps cannot fit an SM of {slots} usable warp slots"),
+            ));
+        }
+        Ok(())
+    }
+
     /// Warps that actually have a trace section in the file.
     pub fn recorded_warps(&self) -> usize {
         self.spans.len()
@@ -846,6 +862,29 @@ mod tests {
         let err = TraceKernel::open(&path).unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn over_wide_cta_does_not_fit_the_machine() {
+        // The format accepts any CTA width; the machine's usable warp
+        // slots bound it, so a 49-warp CTA opens but does not fit 48.
+        let slots = gpu_sim::SimConfig::tesla_m2090(dlp_core::PolicyKind::Baseline)
+            .usable_warp_slots();
+        assert_eq!(slots, 48);
+        for (warps, fits) in [(48, true), (49, false)] {
+            let path = tmp("wide.trace");
+            std::fs::write(&path, format!("{TEXT_MAGIC}\ngrid 1 {warps}\n")).unwrap();
+            let kernel = TraceKernel::open(&path).unwrap();
+            match kernel.check_fits(slots) {
+                Ok(()) => assert!(fits, "{warps}-warp CTA must not fit"),
+                Err(e) => {
+                    assert!(!fits, "{warps}-warp CTA must fit: {e}");
+                    assert!(matches!(e, TraceError::Malformed { .. }));
+                    assert!(e.to_string().contains("48 usable warp slots"), "{e}");
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

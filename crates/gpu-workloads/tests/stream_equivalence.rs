@@ -6,12 +6,11 @@
 //! 1. **Op-sequence identity** — for every app, pulling a native
 //!    generator stream op by op yields exactly `warp_ops`, `peek`
 //!    always previews the next pull, and `reset` replays the identical
-//!    sequence (the contract the sharded engine's misspeculation
-//!    restarts depend on).
+//!    sequence (the contract re-deriving analysis tools depend on).
 //! 2. **Whole-machine identity** — a full simulation fed through the
 //!    `VecStream` compatibility adapter (eager materialization, the
 //!    pre-streaming world) produces the same `RunStats` as the native
-//!    O(1)-memory stream, across shard counts and with sampling on or
+//!    O(1)-memory stream, with per-SM sleep and sampling each on or
 //!    off. Only `peak_warp_trace_bytes` may differ: that counter
 //!    *measures* the materialization the adapter reintroduces.
 
@@ -126,16 +125,19 @@ fn adapter_and_native_runs_are_architecturally_identical() {
 }
 
 #[test]
-fn equivalence_holds_under_sharding() {
+fn equivalence_holds_with_sleep_on_and_off() {
     for app in ["KM", "BFS"] {
-        for shards in [1usize, 2] {
-            let cfg = SimConfig::tesla_m2090(PolicyKind::Dlp).with_shards(shards);
+        // An audited run cycles every busy SM instead of letting parked
+        // SMs sleep.
+        for audit_interval in [0u64, 4096] {
+            let mut cfg = SimConfig::tesla_m2090(PolicyKind::Dlp);
+            cfg.audit_interval = audit_interval;
             let native = run(build(app, Scale::Tiny), cfg);
             let adapted = run(Box::new(Materialized(build(app, Scale::Tiny))), cfg);
             assert_eq!(
                 arch(&native),
                 arch(&adapted),
-                "{app}: adapter diverges at {shards} shard(s)"
+                "{app}: adapter diverges (audit interval {audit_interval})"
             );
         }
     }

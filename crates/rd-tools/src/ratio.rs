@@ -1,13 +1,11 @@
 //! The §3.2 memory-access-ratio classifier.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's CS/CI threshold: 1 % of thread instructions being memory
 /// transactions.
 pub const CS_CI_THRESHOLD: f64 = 0.01;
 
 /// Classification outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppClass {
     /// Cache Sufficient: ratio below 1 %.
     CS,

@@ -1,9 +1,7 @@
 //! Reuse-distance distributions: the paper's four-bucket histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's RD ranges (Figures 3 and 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RdBucket {
     /// RD 1–4: captured by the baseline's 4 ways.
     R1to4,
@@ -42,7 +40,7 @@ impl RdBucket {
 }
 
 /// A four-bucket RD histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RddHistogram {
     counts: [u64; 4],
     /// First-touch accesses (no RD — compulsory).
@@ -80,8 +78,7 @@ impl RddHistogram {
     }
 
     /// Raw bucket counts in [`RdBucket::ALL`] order — for codecs that
-    /// serialize histograms field-by-field (the vendored serde stack
-    /// cannot derive real serialization).
+    /// serialize histograms field-by-field.
     pub fn counts(&self) -> [u64; 4] {
         self.counts
     }

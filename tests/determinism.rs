@@ -1,9 +1,16 @@
 //! The whole simulator must be bit-deterministic: two constructions of
 //! the same experiment produce identical statistics, regardless of
 //! scheme, geometry or workload randomness (all RNGs are seeded).
+//!
+//! Per-SM sleep (see DESIGN.md "Idle-skip and per-SM sleep") makes the
+//! same claim about itself: every statistic is byte-identical to a run
+//! that cycles every busy SM. The reference for that comparison is an
+//! audited run (`audit_interval > 0`), which is the sleep-off path the
+//! `audit` build takes everywhere.
 
 use dlp_core::{CacheGeometry, PolicyKind};
-use gpu_sim::{Gpu, RunStats, SimConfig};
+use gpu_mem::{FaultConfig, FaultKind, FaultSite};
+use gpu_sim::{Gpu, RunStats, SamplingConfig, SimConfig, SimError};
 use gpu_workloads::{build, Scale};
 
 fn run_once(app: &str, kind: PolicyKind) -> RunStats {
@@ -150,7 +157,7 @@ fn deadline_chunked_driving_is_byte_identical_to_unlimited() {
     // With `DLP_JOB_DEADLINE_MS` set, the harness drives a job with
     // chunked `run_for` calls instead of one `run()`; nothing about the
     // statistics may depend on which path ran. Compared at the byte
-    // level through the persist codec (the daemon's wire form), via the
+    // level through the persist codec (the run store's form), via the
     // uncached test hook — through `run_app` the second arm would be a
     // cache hit and the comparison vacuous.
     use dlp_bench::harness::{run_app_uncached_for_tests, ExperimentConfig};
@@ -177,6 +184,119 @@ fn deadline_chunked_driving_is_byte_identical_to_unlimited() {
             "{app}: fine-chunked run diverged from the unlimited path"
         );
     }
+}
+
+/// `cfg` with per-SM sleep off: the periodic auditor runs (read-only)
+/// and every busy SM is cycled every cycle.
+fn sleep_off(mut cfg: SimConfig) -> SimConfig {
+    cfg.audit_interval = 4096;
+    cfg
+}
+
+#[test]
+fn sleep_and_reference_statistics_are_byte_identical() {
+    // Memory-bound, cache-friendly, and mixed apps, all four schemes:
+    // the matrix where a leak in the sleep bound or the deferred stall
+    // aging would show up as a moved counter. Compare whole-struct
+    // equality AND the per-cell FNV digest of the Debug rendering, so a
+    // mismatch names the exact cell rather than an opaque struct diff.
+    let mut table = String::new();
+    let mut mismatches = String::new();
+    for app in ["KM", "BFS", "STR", "CFD"] {
+        for kind in PolicyKind::ALL {
+            let cfg = SimConfig::tesla_m2090(kind).scaled_down(4);
+            let sleep = Gpu::new(cfg, build(app, Scale::Tiny)).run().unwrap();
+            let refr = Gpu::new(sleep_off(cfg), build(app, Scale::Tiny)).run().unwrap();
+            let ds = fnv1a(format!("{sleep:?}").as_bytes());
+            let dr = fnv1a(format!("{refr:?}").as_bytes());
+            table.push_str(&format!("  {app:>4}/{kind:<18?} {ds:#018x}\n"));
+            if sleep != refr || ds != dr {
+                mismatches.push_str(&format!(
+                    "  {app}/{kind:?}: sleep {ds:#018x} != reference {dr:#018x}\n"
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "per-SM sleep drifted from the sleep-off reference:\n{mismatches}\
+         full sleep-side digest table:\n{table}"
+    );
+}
+
+#[test]
+fn watchdog_armed_sleeping_run_matches_the_reference() {
+    // STR spends most of its time stalled on DRAM, so its SMs sleep
+    // across hundreds of quiet cycles. A watchdog that mis-read a
+    // sleeping SM as a stalled machine would report a hang; with a
+    // window well above any real progress gap the run must complete —
+    // and identically to the sleep-off path under the same window.
+    let mut cfg = SimConfig::tesla_m2090(PolicyKind::Baseline).scaled_down(2);
+    cfg.watchdog_cycles = 5_000;
+    let run = |cfg: SimConfig| {
+        Gpu::new(cfg, build("STR", Scale::Tiny))
+            .run()
+            .unwrap_or_else(|e| panic!("spurious watchdog report: {e}"))
+    };
+    assert_eq!(run(cfg), run(sleep_off(cfg)), "watchdog-armed run drifted from reference");
+}
+
+#[test]
+fn genuine_hangs_fire_at_the_identical_cycle_with_sleep_on_or_off() {
+    // A dropped forward packet deadlocks a warp for real. The hang
+    // report settles every sleeping SM first, so it must name the same
+    // cycle and flow counters as a run that cycled every SM. The
+    // reference's audit interval is too long to fire before the hang
+    // (a firing audit would catch the lost packet first).
+    let report = |audit_interval: u64| {
+        let mut cfg = SimConfig::tesla_m2090(PolicyKind::Baseline).scaled_down(2);
+        cfg.watchdog_cycles = 5_000;
+        cfg.audit_interval = audit_interval;
+        cfg.fault = Some(FaultConfig::single(FaultKind::Drop, FaultSite::IcntForward, 7));
+        let mut gpu = Gpu::new(cfg, build("STR", Scale::Tiny));
+        match gpu.run().expect_err("a dropped request must not complete") {
+            SimError::Hang(r) => r,
+            other => panic!("expected a hang, got {other}"),
+        }
+    };
+    let (sleep, refr) = (report(0), report(1 << 40));
+    assert_eq!(sleep.cycle, refr.cycle, "hang detected at a different cycle");
+    assert_eq!(sleep.last_progress_cycle, refr.last_progress_cycle);
+    assert_eq!(sleep.fetches_sent, refr.fetches_sent);
+    assert_eq!(sleep.replies_delivered, refr.replies_delivered);
+}
+
+#[test]
+fn ticked_cycles_equal_cycles_on_exact_runs_only() {
+    // Exact runs step every simulated cycle; sampled runs step only
+    // their detailed windows, so fast-forwarded gaps go unticked.
+    let cfg = SimConfig::tesla_m2090(PolicyKind::Baseline).scaled_down(4);
+    let mut gpu = Gpu::new(cfg, build("STR", Scale::Tiny));
+    let exact = gpu.run().unwrap();
+    assert_eq!(gpu.ticked_cycles(), exact.cycles, "an exact run must tick every cycle");
+
+    let sc = SamplingConfig { detail: 200, skip: 600, warmup: 100, seed: 0 };
+    let mut gpu = Gpu::new(cfg.with_sampling(sc), build("STR", Scale::Tiny));
+    let sampled = gpu.run().unwrap();
+    assert!(
+        gpu.ticked_cycles() < sampled.cycles,
+        "a sampled run must not tick its fast-forwarded gaps ({} ticked of {})",
+        gpu.ticked_cycles(),
+        sampled.cycles
+    );
+}
+
+#[test]
+fn oversubscribed_launcher_drains_identically() {
+    // One SM and a deep CTA backlog: CTAs stay pending for most of the
+    // run while the SM sleeps between events, so every launch scan
+    // lands on a sleeping or just-woken SM. The grid must drain with
+    // statistics identical to the sleep-off path.
+    let cfg = SimConfig::tesla_m2090(PolicyKind::Baseline).scaled_down(1);
+    let sleep = Gpu::new(cfg, build("KM", Scale::Tiny)).run().unwrap();
+    let refr = Gpu::new(sleep_off(cfg), build("KM", Scale::Tiny)).run().unwrap();
+    assert!(sleep.completed);
+    assert_eq!(sleep, refr, "oversubscribed 1-SM run drifted from reference");
 }
 
 #[test]
